@@ -41,7 +41,7 @@ from repro.concurrency import fork_available
 from repro.core import Engine, EngineConfig
 from repro.faults import KILL, Fault, FaultPlan
 from repro.serving import (
-    SupervisedScenario, run_supervised_scenario, summarize_samples,
+    Scenario, run_scenario, summarize_samples,
 )
 
 #: recovery block: boxroom read traffic, 4 workers, kills scripted at
@@ -61,13 +61,13 @@ specialize_missing = pytest.mark.skipif(
 # -- recovery ----------------------------------------------------------------
 
 
-def _scenario(name: str, requests: int, **overrides) -> SupervisedScenario:
-    kw = dict(app="boxroom", mix="read", workers=WORKERS,
+def _scenario(name: str, requests: int, **overrides) -> Scenario:
+    kw = dict(app="boxroom", mix="read", substrate="fork", workers=WORKERS,
               requests=requests, io_wait_s=IO_WAIT_S, warm_rounds=4,
-              cfg={"view_cost": 40}, backoff_base_s=0.01,
+              cfg={"view_cost": 40}, max_retries=2, backoff_base_s=0.01,
               backoff_cap_s=0.05, hang_timeout_s=5.0)
     kw.update(overrides)
-    return SupervisedScenario(name, **kw)
+    return Scenario(name, **kw)
 
 
 def _kill_plan(requests: int) -> FaultPlan:
@@ -83,9 +83,9 @@ def _kill_plan(requests: int) -> FaultPlan:
 
 
 def measure_recovery(requests: int = REQUESTS) -> dict:
-    clean = run_supervised_scenario(_scenario("clean", requests))
-    faulted = run_supervised_scenario(_scenario("kills", requests),
-                                      faults=_kill_plan(requests))
+    clean = run_scenario(_scenario("clean", requests))
+    faulted = run_scenario(_scenario("kills", requests),
+                           faults=_kill_plan(requests))
     assert clean.accounting_ok and faulted.accounting_ok
     overhead = faulted.elapsed_s / max(clean.elapsed_s, 1e-9)
     return {
@@ -106,8 +106,8 @@ def measure_recovery(requests: int = REQUESTS) -> dict:
         #: identical traffic (replays + backoff + respawn forks).
         "recovery_overhead": round(overhead, 2),
         "latency_replayed_p99_ms": (
-            faulted.latency["replayed"]["p99_ms"]
-            if faulted.latency.get("replayed") else None),
+            faulted.replay_latency.as_ms_dict()["p99_ms"]
+            if faulted.replay_latency else None),
         "abandonment": measure_abandonment(requests),
     }
 
@@ -118,7 +118,7 @@ def measure_abandonment(requests: int = REQUESTS) -> dict:
     and *only* its slice."""
     per_worker = requests // WORKERS
     plan = FaultPlan([Fault(KILL, 1, 0, attempt=a) for a in range(4)])
-    report = run_supervised_scenario(
+    report = run_scenario(
         _scenario("exhausted", requests, max_retries=2), faults=plan)
     return {
         "max_retries": 2,

@@ -30,7 +30,7 @@ import os
 import sys
 
 from repro.concurrency import (
-    ConcurrentDriver, build_concurrent_world, churn_recipe, request_thunks,
+    Driver, build_concurrent_world, churn_recipe, request_thunks,
 )
 
 #: per-request simulated I/O window; chosen so the pubs request mix is
@@ -58,9 +58,8 @@ def measure_scaling(requests: int = REQUESTS,
     _warm(thunks)
     runs = {}
     for threads in (THREADS_LOW, THREADS_HIGH):
-        driver = ConcurrentDriver(thunks, threads=threads,
-                                  requests=requests, io_wait_s=io_wait_s,
-                                  record_outcomes=False)
+        driver = Driver(thunks, workers=threads, requests=requests,
+                        io_wait_s=io_wait_s)
         run = driver.run()
         # A crashed/hung worker would shrink elapsed time while its
         # requests went unserved — never let that inflate the headline.
@@ -95,10 +94,9 @@ def measure_churn(threads: int = THREADS_HIGH,
     stats = world.engine.stats
     hits0, calls0 = stats.fast_path_hits, stats.calls_intercepted
     invalidations0 = stats.plan_invalidations
-    driver = ConcurrentDriver(thunks, threads=threads, requests=requests,
-                              io_wait_s=IO_WAIT_S,
-                              churn=churn_recipe(world),
-                              churn_interval_s=churn_interval_s)
+    driver = Driver(thunks, workers=threads, requests=requests,
+                    io_wait_s=IO_WAIT_S, churn=churn_recipe(world),
+                    churn_interval_s=churn_interval_s)
     run = driver.run()
     # Snapshot the deltas *before* the oracle replay: its fully-warm
     # requests hit the same engine and would dilute the churn-period
@@ -149,7 +147,7 @@ def test_concurrent_outcomes_match_single_thread_oracle():
     world = build_concurrent_world("pubs")
     thunks = request_thunks(world)
     _warm(thunks)
-    driver = ConcurrentDriver(thunks, threads=THREADS_HIGH, requests=160)
+    driver = Driver(thunks, workers=THREADS_HIGH, requests=160)
     run = driver.run()
     oracle = driver.run_single_threaded_oracle()
     assert not run.crashes, run.crashes

@@ -42,8 +42,7 @@ import pytest
 from repro.concurrency import fork_available
 from repro.core import Engine, EngineConfig
 from repro.serving import (
-    MultiProcScenario, build_serving_world, run_multiproc_scenario,
-    scenario_thunks,
+    Scenario, build_serving_world, run_scenario, scenario_thunks,
 )
 from repro.snapshot import save_snapshot
 
@@ -74,10 +73,10 @@ def measure_scaling(requests: int = REQUESTS,
     the serving suite's read_heavy scenario."""
     runs = {}
     for workers in (WORKERS_LOW, WORKERS_HIGH):
-        report = run_multiproc_scenario(MultiProcScenario(
+        report = run_scenario(Scenario(
             name=f"read_heavy_{workers}w", app="boxroom", mix="read",
-            workers=workers, requests=requests, io_wait_s=io_wait_s,
-            warm_rounds=4, cfg={"view_cost": 40}))
+            substrate="fork", workers=workers, requests=requests,
+            io_wait_s=io_wait_s, warm_rounds=4, cfg={"view_cost": 40}))
         assert not report.crashes, report.crashes
         assert report.completed == requests, (report.completed, requests)
         runs[workers] = report
@@ -132,10 +131,11 @@ def measure_warm_start(requests: int = WARM_REQUESTS) -> dict:
     save_snapshot(engine, snapshot_path)
 
     def fleet(name, snapshot):
-        return run_multiproc_scenario(MultiProcScenario(
-            name=name, app="countries", mix="read", workers=WARM_WORKERS,
-            requests=requests, io_wait_s=0.0, warm_rounds=0,
-            specialize_threshold=WARM_THRESHOLD, snapshot=snapshot))
+        return run_scenario(Scenario(
+            name=name, app="countries", mix="read", substrate="fork",
+            workers=WARM_WORKERS, requests=requests, io_wait_s=0.0,
+            warm_rounds=0, specialize_threshold=WARM_THRESHOLD,
+            snapshot=snapshot))
 
     cold = fleet("cold_start", None)
     warm = fleet("warm_start", snapshot_path)
@@ -212,9 +212,10 @@ def test_multiproc_outcomes_match_cache_free_oracle():
     """Benchmark-sized differential soundness: every forked worker's
     outcome multiset equals the cache-free oracle replay of its own
     schedule slice."""
-    report = run_multiproc_scenario(MultiProcScenario(
-        name="oracle_check", app="boxroom", mix="read", workers=4,
-        requests=96, io_wait_s=0.0, warm_rounds=2, cfg={"view_cost": 40}))
+    report = run_scenario(Scenario(
+        name="oracle_check", app="boxroom", mix="read", substrate="fork",
+        workers=4, requests=96, io_wait_s=0.0, warm_rounds=2,
+        cfg={"view_cost": 40}))
     assert not report.crashes, report.crashes
     assert report.errors == 0
     assert report.worker_oracle_matches == [True] * 4

@@ -36,7 +36,7 @@ import json
 import os
 import sys
 
-from repro.serving import ServingScenario, run_scenario
+from repro.serving import Scenario, run_scenario
 
 #: per-request simulated I/O window (released GIL) — same rationale as
 #: bench_concurrency: the engine must not serialize this window.
@@ -50,19 +50,19 @@ STEADY_WARM_ROUNDS = 60
 
 def _scenarios(requests: int, warm_rounds: int):
     return [
-        ServingScenario(
+        Scenario(
             name="read_heavy", app="boxroom", mix="read",
-            threads=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
+            workers=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
             churn="none", warm_rounds=warm_rounds,
             cfg={"view_cost": 40}),
-        ServingScenario(
+        Scenario(
             name="write_heavy", app="boxroom", mix="write",
-            threads=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
+            workers=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
             churn="none", warm_rounds=max(4, warm_rounds // 10),
             cfg={"view_cost": 40}),
-        ServingScenario(
+        Scenario(
             name="mixed_churn", app="boxroom", mix="mixed",
-            threads=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
+            workers=THREADS, requests=requests, io_wait_s=IO_WAIT_S,
             churn="full", churn_interval_s=0.005,
             warm_rounds=max(4, warm_rounds // 10),
             cfg={"view_cost": 40}),
@@ -87,8 +87,8 @@ def test_read_heavy_steady_state_is_sound_and_fast():
     environment-tunable ceiling (CI exports a lenient SERVING_MAX_P99_MS
     for noisy shared runners)."""
     ceiling_ms = float(os.environ.get("SERVING_MAX_P99_MS", "50"))
-    report = run_scenario(ServingScenario(
-        name="read_heavy", app="boxroom", mix="read", threads=THREADS,
+    report = run_scenario(Scenario(
+        name="read_heavy", app="boxroom", mix="read", workers=THREADS,
         requests=160, io_wait_s=IO_WAIT_S, churn="none",
         warm_rounds=STEADY_WARM_ROUNDS, cfg={"view_cost": 40}))
     assert report.crashes == [], report.crashes
@@ -102,8 +102,8 @@ def test_read_heavy_steady_state_is_sound_and_fast():
 def test_write_heavy_is_oracle_identical():
     """The write path under 8 threads: every create/update/destroy
     cycle lands exactly as the cache-free oracle says it should."""
-    report = run_scenario(ServingScenario(
-        name="write_heavy", app="boxroom", mix="write", threads=THREADS,
+    report = run_scenario(Scenario(
+        name="write_heavy", app="boxroom", mix="write", workers=THREADS,
         requests=160, io_wait_s=IO_WAIT_S, churn="none", warm_rounds=4,
         cfg={"view_cost": 40}))
     assert report.crashes == [], report.crashes
@@ -116,8 +116,8 @@ def test_mixed_traffic_survives_full_churn():
     """The dev-loop worst case: mixed traffic while reload/typegen/
     retype mutators run.  Soundness is absolute; churn must actually
     have landed for the run to count."""
-    report = run_scenario(ServingScenario(
-        name="mixed_churn", app="boxroom", mix="mixed", threads=THREADS,
+    report = run_scenario(Scenario(
+        name="mixed_churn", app="boxroom", mix="mixed", workers=THREADS,
         requests=240, io_wait_s=IO_WAIT_S, churn="full",
         churn_interval_s=0.003, warm_rounds=4, cfg={"view_cost": 40}))
     assert report.crashes == [], report.crashes

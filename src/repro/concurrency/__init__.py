@@ -1,4 +1,4 @@
-"""``repro.concurrency`` — the multi-threaded request workload layer.
+"""``repro.concurrency`` — the request driver (worker threads or processes).
 
 The ROADMAP north star is a production-scale system serving heavy
 traffic, which means many request threads hitting the same engine — the
@@ -7,17 +7,16 @@ engine's locking discipline (lock-free warm reads, one writer lock,
 epoch-guarded memo stores; see ``docs/performance.md`` "Concurrency")
 makes that safe; this package makes it *drivable and measurable*:
 
-* :class:`~repro.concurrency.driver.ConcurrentDriver` — replays a
-  request mix through an app from N worker threads, optionally with a
-  dev-mode churn thread retyping/redefining methods mid-flight, and
-  reports aggregate throughput, per-request outcomes, and warm-path
-  hit rates;
-* :class:`~repro.concurrency.driver.MultiProcessDriver` — the pre-fork
-  serving mode: forks N workers that inherit the parent's (optionally
-  snapshot-warmed) engine copy-on-write, run disjoint slices of the
-  same schedule, and ship outcomes/latency samples/stats deltas back
-  over a queue for exact aggregate percentiles and per-worker oracle
-  comparison;
+* :class:`~repro.concurrency.driver.Driver` — replays a request mix
+  from N workers over one round-robin schedule.  Workers are threads
+  sharing one engine (optionally beside dev-mode churn threads
+  retyping/redefining methods mid-flight) or processes forked from a
+  warm parent, each reporting over its own single-writer pipe; with
+  ``max_retries`` > 0 a dead, crashed, or hung worker's remainder is
+  respawned from the warm parent.  The :class:`~repro.concurrency.driver.Run`
+  it returns keys outcomes by schedule index, so any run can be checked
+  index by index against an oracle replay, and partitions the schedule
+  exactly into first-attempt, replayed, and abandoned requests;
 * :mod:`~repro.concurrency.workload` — the pubs/cct/talks request
   mixes (read-only, so concurrent outcomes are deterministic and
   comparable against a single-threaded oracle) and reload-churn
@@ -30,22 +29,16 @@ threaded differential-soundness harness.
 """
 
 from .driver import (
-    ConcurrentDriver, DriverRun, MultiProcessDriver, MultiProcessRun,
-    WorkerReport, fork_available, normalize_outcome,
+    TRANSITION_FIELDS, Driver, Run, fork_available, normalize_outcome,
 )
-from .supervise import SupervisedDriver, SupervisedRun
 from .workload import (
     build_concurrent_world, churn_recipe, request_thunks,
 )
 
 __all__ = [
-    "ConcurrentDriver",
-    "DriverRun",
-    "MultiProcessDriver",
-    "MultiProcessRun",
-    "SupervisedDriver",
-    "SupervisedRun",
-    "WorkerReport",
+    "TRANSITION_FIELDS",
+    "Driver",
+    "Run",
     "fork_available",
     "normalize_outcome",
     "build_concurrent_world",

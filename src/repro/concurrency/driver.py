@@ -1,42 +1,82 @@
-"""The multi-threaded request driver.
+"""The request driver: one schedule, one worker loop, one run record.
 
-Models the production shape the ROADMAP aims at: N worker threads pull
-requests from a shared schedule and push them through one engine, while
-optional *churn* (mutator) threads — one per recipe — perform dev-mode
-reload mutations (retype/redefine/reload/typegen) mid-flight.  Workers never take the engine's writer
-lock — a request's warm path is lock-free — so aggregate throughput
-should scale with threads whenever per-request I/O (database, network,
-template writes) dominates, which is exactly the Rails profile the
-paper measures.
+Models the production shape the ROADMAP aims at: N workers pull
+requests from a shared round-robin schedule and push them through the
+engine.  The *substrate* decides what a worker is:
 
-``io_wait_s`` simulates that per-request I/O with a sleep, which
-releases the GIL: it is the stand-in for the time a real request spends
-off-CPU.  With it at zero the driver measures pure interpreter
-throughput (GIL-bound by construction — useful for overhead and
-soundness runs, meaningless for scaling).
+* ``"thread"`` — worker threads sharing one engine, optionally beside
+  *churn* (mutator) threads — one per recipe — performing dev-mode
+  reload mutations (retype/redefine/reload/typegen) mid-flight.
+  Workers never take the engine's writer lock (a request's warm path
+  is lock-free), so aggregate throughput scales with threads whenever
+  per-request I/O dominates, which is exactly the Rails profile the
+  paper measures;
+* ``"fork"`` — the pre-fork serving shape: workers are processes
+  forked from the (optionally snapshot-warmed) parent, each inheriting
+  the whole warm engine copy-on-write.  Request thunks close over live
+  app objects and are deliberately unpicklable, so fork inheritance is
+  the transport.
 
-Outcomes are recorded per request with :func:`normalize_outcome` — the
-same ``("ok", repr) | ("err", type, str)`` shape the differential
-cache-soundness harness uses — so a concurrent run can be compared
-against a single-threaded oracle replay of the same schedule.
+``io_wait_s`` simulates per-request I/O with a sleep, which releases
+the GIL: the stand-in for the time a real request spends off-CPU.
+
+**Transport.**  Every worker *attempt* gets its own
+``Pipe(duplex=False)`` and is its only writer: a ``("ready", t)``
+message at loop start (the start gate — the run's clock starts at the
+earliest ``t``), one ``("req", index, outcome, seconds)`` per request
+(a worker thread hands these straight to :meth:`Run.accept` instead),
+and a terminal ``("done", stats_delta, first_pass_s)`` or ``("crash",
+traceback)``.  Sends are synchronous and no lock is shared between
+writers, so a worker killed mid-send can tear only its own pipe.  The
+parent multiplexes the pipes with ``multiprocessing.connection.wait``;
+end-of-file without ``done`` is a death, seen the moment the writer's
+end closes, so ``hang_timeout_s`` covers true hangs only (forked
+workers only: a thread cannot be killed, so the run deadline bounds
+it).
+
+**Recovery.**  A failed attempt (death, crash message, or silence past
+``hang_timeout_s``) has its unfinished remainder respawned as the next
+attempt — forked from the parent's still-warm engine, after an
+exponential backoff — until the slot has used ``max_retries``
+respawns; then the remainder is abandoned.  ``max_retries=0`` is plain
+unsupervised serving.  Every scheduled request ends in exactly one
+bucket::
+
+    requests == completed_first + completed_retried + abandoned
+
+Outcomes are recorded per schedule index with :func:`normalize_outcome`
+— the ``("ok", repr) | ("err", type, str)`` shape the differential
+cache-soundness harness uses — first report wins, so a run can be
+checked index by index against an oracle replay of the same schedule.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import threading
 import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from multiprocessing import connection
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Churn = Callable[[int], object]
 
-#: a worker either completed every scheduled request or died; joins use
-#: a generous timeout so a deadlock fails the run instead of hanging it.
+#: the whole run's deadline; a deadlock fails the run instead of
+#: hanging it.
 JOIN_TIMEOUT_S = 120.0
+
+#: engine counters whose delta across the run a :class:`Run` reports:
+#: the tier-transition story (how much cold start the workers paid,
+#: how hard churn waved).  Forked workers each ship their own engine
+#: copy's delta; threads share the parent engine's.
+TRANSITION_FIELDS = (
+    "static_checks", "cache_hits", "cache_misses", "promotions",
+    "repromotions", "deopts", "elide_promotions", "plan_invalidations",
+)
+
+SUBSTRATES = ("thread", "fork")
 
 
 def normalize_outcome(thunk: Callable[[], object]) -> tuple:
@@ -48,254 +88,59 @@ def normalize_outcome(thunk: Callable[[], object]) -> tuple:
         return ("err", type(exc).__name__, str(exc))
 
 
-@dataclass
-class DriverRun:
-    """One driver execution: timings, outcomes, and error census."""
-
-    threads: int
-    requests: int
-    elapsed_s: float
-    #: requests that actually completed (== ``requests`` unless a worker
-    #: crashed); throughput is computed from this, never the schedule.
-    completed: int = 0
-    #: flat list of (thread index, schedule index, outcome tuple).
-    outcomes: List[Tuple[int, int, tuple]] = field(default_factory=list)
-    #: how many mutations the churn (mutator) threads applied, summed
-    #: across all of them.
-    churn_applied: int = 0
-    #: exceptions that escaped a *worker loop* (not a request — request
-    #: errors are outcomes); always a bug when non-empty.
-    crashes: List[str] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def error_outcomes(self) -> List[Tuple[int, int, tuple]]:
-        return [o for o in self.outcomes if o[2][0] == "err"]
-
-    def outcome_multiset(self) -> Counter:
-        """Outcome tuple -> count, ignoring thread/schedule position —
-        the comparable view when requests interleave nondeterministically."""
-        return Counter(outcome for _, _, outcome in self.outcomes)
-
-
-class ConcurrentDriver:
-    """Replay ``thunks`` (zero-arg request callables) from worker threads.
-
-    The schedule is round-robin over the thunk list, ``requests`` total,
-    dealt to ``threads`` workers; each worker starts at a different
-    offset so concurrent traffic mixes request kinds (two threads are
-    rarely in the same controller action at once, like real traffic).
-    """
-
-    def __init__(self, thunks: Sequence[Callable[[], object]], *,
-                 threads: int = 8, requests: int = 400,
-                 io_wait_s: float = 0.0,
-                 churn: Union[Churn, Sequence[Churn], None] = None,
-                 churn_interval_s: float = 0.01,
-                 record_outcomes: bool = True,
-                 faults=None) -> None:
-        if not thunks:
-            raise ValueError("need at least one request thunk")
-        self.thunks = list(thunks)
-        self.threads = threads
-        self.requests = requests
-        self.io_wait_s = io_wait_s
-        #: optional :class:`repro.faults.FaultPlan`; None (production)
-        #: keeps every loop on the exact pre-existing code path.  In
-        #: threads, a KILL degrades to a raised worker-loop crash (the
-        #: process must survive); HANG sleeps; CHURN_DIE kills the
-        #: scripted mutator thread mid-wave-sequence.
-        self.faults = faults
-        # ``churn`` is one mutation recipe or a list of them; each gets a
-        # dedicated mutator thread (the serving harness runs dev-mode
-        # reloads, schema retypes, and signature churn side by side).
-        if churn is None:
-            self.churns: List[Churn] = []
-        elif callable(churn):
-            self.churns = [churn]
-        else:
-            self.churns = list(churn)
-        self.churn = self.churns[0] if self.churns else None
-        self.churn_interval_s = churn_interval_s
-        self.record_outcomes = record_outcomes
-
-    def schedule_for(self, worker: int) -> List[Tuple[int, Callable]]:
-        """Worker ``worker``'s (schedule index, thunk) list."""
-        per = self.requests // self.threads
-        extra = self.requests % self.threads
-        count = per + (1 if worker < extra else 0)
-        start = worker * per + min(worker, extra)
-        thunks = self.thunks
-        n = len(thunks)
-        return [(start + i, thunks[(start + i) % n]) for i in range(count)]
-
-    def run(self) -> DriverRun:
-        result = DriverRun(self.threads, self.requests, 0.0)
-        outcomes_lock = threading.Lock()
-        start_barrier = threading.Barrier(self.threads + 1)
-        stop_churn = threading.Event()
-        io_wait = self.io_wait_s
-
-        faults = self.faults
-
-        def worker(idx: int) -> None:
-            mine: List[Tuple[int, int, tuple]] = []
-            done = 0
-            try:
-                schedule = self.schedule_for(idx)
-                start_barrier.wait(timeout=JOIN_TIMEOUT_S)
-                for ordinal, (sched_idx, thunk) in enumerate(schedule):
-                    if faults is not None:
-                        # Fires *before* the request: an injected fault
-                        # crashes this worker loop (never becomes an
-                        # outcome), so completed counts stay honest.
-                        faults.on_request(idx, 0, ordinal,
-                                          in_process=False)
-                    outcome = normalize_outcome(thunk)
-                    done += 1
-                    if io_wait:
-                        time.sleep(io_wait)
-                    if self.record_outcomes:
-                        mine.append((idx, sched_idx, outcome))
-            except Exception as exc:  # noqa: BLE001 - driver-level crash
-                result.crashes.append(f"worker {idx}: {exc!r}")
-            finally:
-                with outcomes_lock:
-                    result.completed += done
-                    if mine:
-                        result.outcomes.extend(mine)
-
-        def churner(churn_idx: int, fn: Churn) -> None:
-            step = 0
-            try:
-                while not stop_churn.is_set():
-                    if faults is not None:
-                        # Mutator death mid-wave-sequence: requests keep
-                        # serving; the engine's writer lock made each
-                        # individual wave atomic, so this must be safe.
-                        faults.on_churn_step(churn_idx, step)
-                    fn(step)
-                    step += 1
-                    with outcomes_lock:
-                        result.churn_applied += 1
-                    if stop_churn.wait(self.churn_interval_s):
-                        break
-            except Exception as exc:  # noqa: BLE001 - driver-level crash
-                result.crashes.append(f"churn step {step}: {exc!r}")
-
-        workers = [threading.Thread(target=worker, args=(i,), daemon=True)
-                   for i in range(self.threads)]
-        churn_threads = [threading.Thread(target=churner, args=(ci, fn),
-                                          daemon=True)
-                         for ci, fn in enumerate(self.churns)]
-        for t in workers:
-            t.start()
-        for t in churn_threads:
-            t.start()
-        start_barrier.wait(timeout=JOIN_TIMEOUT_S)
-        started = time.perf_counter()
-        # One shared deadline across all joins, so a multi-worker
-        # deadlock is reported after JOIN_TIMEOUT_S total — not
-        # threads * JOIN_TIMEOUT_S, which would outlive CI's
-        # faulthandler timeout and lose this curated diagnostic.
-        deadline = started + JOIN_TIMEOUT_S
-        for t in workers:
-            t.join(timeout=max(0.0, deadline - time.perf_counter()))
-        result.elapsed_s = time.perf_counter() - started
-        stop_churn.set()
-        for t in churn_threads:
-            t.join(timeout=max(1.0, deadline - time.perf_counter()))
-        hung = [i for i, t in enumerate(workers) if t.is_alive()]
-        churn_hung = [i for i, t in enumerate(churn_threads)
-                      if t.is_alive()]
-        if hung or churn_hung:
-            raise RuntimeError(
-                f"driver deadlock: workers {hung} (churn threads alive: "
-                f"{churn_hung}) did not finish within {JOIN_TIMEOUT_S}s")
-        result.outcomes.sort(key=lambda o: o[1])
-        return result
-
-    def run_single_threaded_oracle(self) -> DriverRun:
-        """The comparison baseline: the same total schedule, one thread,
-        no churn — deterministic outcomes for multiset comparison."""
-        single = ConcurrentDriver(
-            self.thunks, threads=1, requests=self.requests,
-            io_wait_s=0.0, churn=None,
-            record_outcomes=self.record_outcomes)
-        return single.run()
-
-
-# -- pre-fork multi-process serving ------------------------------------------
-
-
 def fork_available() -> bool:
-    """Whether this platform can pre-fork workers.  The multi-process
-    mode requires the ``fork`` start method: request thunks close over
-    live app objects and are deliberately unpicklable, so workers must
-    inherit the warm world copy-on-write."""
+    """Whether this platform can pre-fork workers (the ``fork`` start
+    method: thunks are unpicklable, so workers must inherit them)."""
     try:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
         return False
 
 
-#: engine counters whose per-worker delta the parent aggregates — the
-#: tier-transition story of each worker's run (how much cold start it
-#: actually paid), shipped back over the result queue.
-STATS_DELTA_FIELDS = (
-    "static_checks", "cache_hits", "cache_misses", "promotions",
-    "repromotions", "deopts", "elide_promotions", "plan_invalidations",
-)
-
-
 @dataclass
-class WorkerReport:
-    """One forked worker's shipped-back results."""
-
-    worker: int
-    completed: int = 0
-    #: wall-clock of the worker's whole request loop.
-    elapsed_s: float = 0.0
-    #: wall-clock from loop start until the first full pass over the
-    #: thunk list completed — the cold-start window where this worker
-    #: pays static checks, profiling, and promotions (near zero when
-    #: warm-started from a snapshot).
-    first_pass_s: float = 0.0
-    #: (worker index, schedule index, outcome tuple), as in DriverRun.
-    outcomes: List[Tuple[int, int, tuple]] = field(default_factory=list)
-    #: the worker's latency reservoir, shipped raw so the parent can
-    #: merge across workers for exact aggregate percentiles.
-    samples: List[float] = field(default_factory=list)
-    #: how many latencies were recorded (== len(samples) unless the
-    #: reservoir overflowed into sampling).
-    sample_count: int = 0
-    #: per-worker deltas of STATS_DELTA_FIELDS across the run.
-    stats_delta: Dict[str, int] = field(default_factory=dict)
-
-    def outcome_multiset(self) -> Counter:
-        return Counter(outcome for _, _, outcome in self.outcomes)
-
-
-@dataclass
-class MultiProcessRun:
-    """One multi-process execution: per-worker reports + aggregates."""
+class Run:
+    """One driver execution: accepted outcomes + exact accounting."""
 
     workers: int
     requests: int
-    elapsed_s: float
-    completed: int = 0
-    #: scheduled requests that never completed — the slices of crashed
-    #: or silent workers, computed from the schedule split (not derived
-    #: as ``requests - completed``, so ``completed + lost == requests``
-    #: is a real accounting check rather than a tautology).
-    lost: int = 0
-    reports: List[WorkerReport] = field(default_factory=list)
-    #: worker tracebacks and lost-worker diagnoses; a crash means the
-    #: run proves nothing — always assert this is empty.
+    elapsed_s: float = 0.0
+    #: outcomes accepted from first attempts (attempt 0).
+    completed_first: int = 0
+    #: outcomes accepted from respawned attempts — the requests that
+    #: only completed because supervision replayed them.
+    completed_retried: int = 0
+    #: scheduled requests left unfinished when their slot exhausted the
+    #: retry budget (or the run deadline fired).
+    abandoned: int = 0
+    #: respawns performed (mirrors ``stats.workers_restarted``).
+    restarts: int = 0
+    #: schedule index -> (worker slot, attempt, outcome tuple).
+    outcomes: Dict[int, Tuple[int, int, tuple]] = field(default_factory=dict)
+    #: thunk-only latencies of accepted first-attempt outcomes.
+    first_samples: List[float] = field(default_factory=list)
+    #: thunk-only latencies of accepted replayed outcomes — kept apart
+    #: so recovery cost cannot hide in the steady-state tail.
+    replay_samples: List[float] = field(default_factory=list)
+    #: slowest worker's first full pass over the thunk list — the
+    #: cold-start window (near zero when snapshot-warmed).
+    first_pass_s: float = 0.0
+    #: TRANSITION_FIELDS deltas: the whole run, and per forked slot
+    #: (summed over the slot's attempts that finished).
+    stats_delta: Dict[str, int] = field(default_factory=dict)
+    worker_deltas: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    #: mutations the churn threads applied, summed across them.
+    churn_applied: int = 0
+    #: supervision events (deaths, crashes, hangs, respawns, budget
+    #: exhaustion) in order.
+    restart_log: List[str] = field(default_factory=list)
+    abandoned_indices: List[int] = field(default_factory=list)
+    #: failures that cost requests (``worker <slot>: ...``), churn
+    #: thread deaths, and protocol violations; empty on a healthy run.
     crashes: List[str] = field(default_factory=list)
+
+    @property
+    def completed(self) -> int:
+        return self.completed_first + self.completed_retried
 
     @property
     def throughput_rps(self) -> float:
@@ -303,230 +148,350 @@ class MultiProcessRun:
 
     @property
     def error_outcomes(self) -> List[Tuple[int, int, tuple]]:
-        return [o for r in self.reports for o in r.outcomes
-                if o[2][0] == "err"]
+        return [o for o in self.outcomes.values() if o[2][0] == "err"]
 
-    @property
-    def first_pass_s(self) -> float:
-        """Time-to-steady-state for the run: the *slowest* worker's
-        first full pass (the deploy is warm when the last worker is)."""
-        return max((r.first_pass_s for r in self.reports), default=0.0)
+    def accounting_ok(self) -> bool:
+        """Every scheduled request is in exactly one bucket."""
+        return (self.requests
+                == self.completed_first + self.completed_retried
+                + self.abandoned)
 
     def outcome_multiset(self) -> Counter:
-        merged: Counter = Counter()
-        for report in self.reports:
-            merged.update(report.outcome_multiset())
-        return merged
+        """Outcome tuple -> count, ignoring worker and schedule index."""
+        return Counter(outcome for _, _, outcome in self.outcomes.values())
 
-    def merged_samples(self) -> Tuple[List[float], int]:
-        """(all workers' latency samples, total recorded count) — exact
-        aggregate percentiles whenever no per-worker reservoir
-        overflowed (count == len(samples))."""
-        samples: List[float] = []
-        count = 0
-        for report in self.reports:
-            samples.extend(report.samples)
-            count += report.sample_count
-        return samples, count
+    def accept(self, slot: int, attempt: int, index: int, outcome: tuple,
+               seconds: float) -> None:
+        """Record one reported outcome; the first report for an index
+        wins.  A later report that disagrees would be a soundness bug
+        (outcomes are deterministic per index), so it is a crash."""
+        prior = self.outcomes.get(index)
+        if prior is not None:
+            if prior[2] != outcome:
+                self.crashes.append(
+                    f"outcome disagreement at schedule index {index}: "
+                    f"{prior[2]!r} vs {outcome!r}")
+            return
+        self.outcomes[index] = (slot, attempt, outcome)
+        if attempt == 0:
+            self.completed_first += 1
+            self.first_samples.append(seconds)
+        else:
+            self.completed_retried += 1
+            self.replay_samples.append(seconds)
 
-    def stats_total(self) -> Dict[str, int]:
-        """STATS_DELTA_FIELDS summed across workers."""
-        total = {name: 0 for name in STATS_DELTA_FIELDS}
-        for report in self.reports:
-            for name, value in report.stats_delta.items():
-                total[name] = total.get(name, 0) + value
-        return total
+
+@dataclass
+class _Attempt:
+    """Parent-side handle on one worker attempt."""
+
+    slot: int
+    attempt: int
+    indices: Sequence[int]
+    conn: object
+    worker: object          # threading.Thread | multiprocessing.Process
+    last_seen: float
+
+    def stop(self) -> str:
+        """Make sure the attempt is over; returns its exit diagnosis.
+        A thread cannot be killed; it is only ever stopped after its
+        terminal message, or at the run deadline."""
+        worker = self.worker
+        if isinstance(worker, threading.Thread):
+            self.conn.close()
+            return "thread"
+        if worker.is_alive():
+            worker.terminate()
+        worker.join(5.0)
+        self.conn.close()
+        return f"exit code {worker.exitcode}"
 
 
-class MultiProcessDriver:
-    """Replay the round-robin schedule from ``workers`` forked processes.
+class Driver:
+    """Replay ``thunks`` (zero-arg request callables) from ``workers``
+    workers on ``substrate``; see the module docstring.
 
-    The pre-fork serving shape: the parent builds (and optionally
-    snapshot-warms) the world, then forks; each worker inherits the
-    whole warm engine copy-on-write — plans, check cache, promoted
-    wrappers and all — runs its slice of the schedule against its own
-    engine copy, and ships outcomes, latency samples, and stats deltas
-    back over a queue.  Nothing is shared after the fork, so there is
-    no cross-process locking to validate — what this mode buys is
-    N cores instead of one, and what the snapshot buys is each worker
-    skipping the cold-start window.
-
-    The schedule split is identical to :class:`ConcurrentDriver`'s
-    (same formula over ``workers``), so a worker's outcome multiset can
-    be replayed index-by-index against a cache-free oracle world.
+    ``engine`` (optional) is probed for TRANSITION_FIELDS deltas and
+    receives the ``workers_restarted`` / ``requests_replayed`` counts.
+    ``faults`` is an optional :class:`repro.faults.FaultPlan`; None
+    keeps every loop on the fault-free path.  ``churn`` (thread
+    substrate only) is one mutation recipe or a list, each run by its
+    own mutator thread every ``churn_interval_s``.
     """
 
     def __init__(self, thunks: Sequence[Callable[[], object]], *,
                  workers: int = 4, requests: int = 400,
-                 io_wait_s: float = 0.0, engine=None,
-                 reservoir_capacity: int = 16384,
-                 first_pass: Optional[int] = None,
-                 faults=None) -> None:
+                 substrate: str = "thread", io_wait_s: float = 0.0,
+                 engine=None,
+                 churn: Union[Churn, Sequence[Churn], None] = None,
+                 churn_interval_s: float = 0.01, faults=None,
+                 max_retries: int = 0, backoff_base_s: float = 0.05,
+                 backoff_cap_s: float = 1.0,
+                 hang_timeout_s: float = 5.0) -> None:
         if not thunks:
             raise ValueError("need at least one request thunk")
-        if not fork_available():
+        if substrate not in SUBSTRATES:
+            raise ValueError(f"substrate must be one of {SUBSTRATES}")
+        if substrate == "fork" and not fork_available():
             raise RuntimeError(
-                "multi-process driver requires the 'fork' start method")
+                "the fork substrate requires the 'fork' start method")
         self.thunks = list(thunks)
         self.workers = workers
         self.requests = requests
+        self.substrate = substrate
         self.io_wait_s = io_wait_s
-        #: optional :class:`repro.faults.FaultPlan`; in forked workers a
-        #: KILL fault calls ``os._exit`` — no cleanup, no queue flush —
-        #: so the parent sees a silent worker with a nonzero exit code.
-        self.faults = faults
-        #: the engine the thunks run against, for per-worker stats
-        #: deltas (optional: without it deltas are empty).
         self.engine = engine
-        self.reservoir_capacity = reservoir_capacity
-        #: requests counted as the worker's first pass (default: one
-        #: full trip around the thunk list).
-        self.first_pass = (first_pass if first_pass is not None
-                           else len(self.thunks))
+        self.churns: List[Churn] = (
+            [churn] if callable(churn) else list(churn or ()))
+        if self.churns and substrate == "fork":
+            raise ValueError("churn threads need the thread substrate")
+        self.churn_interval_s = churn_interval_s
+        self.faults = faults
+        self.max_retries = max(0, max_retries)
+        self.backoff_base_s = backoff_base_s
+        self.backoff_cap_s = backoff_cap_s
+        self.hang_timeout_s = hang_timeout_s
+        self._accept_lock = threading.Lock()
 
-    def schedule_for(self, worker: int) -> List[Tuple[int, Callable]]:
-        """Worker ``worker``'s (schedule index, thunk) list — the same
-        deal as the threaded driver, over processes."""
-        per = self.requests // self.workers
-        extra = self.requests % self.workers
-        count = per + (1 if worker < extra else 0)
+    def schedule_indices(self, worker: int) -> range:
+        """Worker ``worker``'s contiguous slice of the schedule; each
+        worker starts at a different offset, so concurrent traffic mixes
+        request kinds.  Index ``i`` runs ``thunks[i % len(thunks)]``."""
+        per, extra = divmod(self.requests, self.workers)
         start = worker * per + min(worker, extra)
-        thunks = self.thunks
-        n = len(thunks)
-        return [(start + i, thunks[(start + i) % n]) for i in range(count)]
-
-    def schedule_indices(self, worker: int) -> List[int]:
-        """Just the schedule indices — what an oracle replay maps back
-        onto its own thunk list (``index % len(thunks)``)."""
-        return [sched_idx for sched_idx, _ in self.schedule_for(worker)]
+        return range(start, start + per + (worker < extra))
 
     def _stats_probe(self) -> Dict[str, int]:
         if self.engine is None:
             return {}
         snap = self.engine.stats_snapshot()
-        return {name: int(snap.get(name, 0))
-                for name in STATS_DELTA_FIELDS}
+        return {name: int(snap.get(name, 0)) for name in TRANSITION_FIELDS}
 
-    def _child_main(self, idx: int, barrier, result_queue) -> None:
-        # Imported lazily: repro.serving imports this module back.
-        from ..serving.latency import Reservoir
-        payload: Dict[str, object] = {"worker": idx, "error": None}
+    def _bump_engine(self, name: str, amount: int = 1) -> None:
+        if self.engine is not None and amount:
+            stats = self.engine.stats
+            setattr(stats, name, getattr(stats, name) + amount)
+
+    # -- worker side ---------------------------------------------------------
+
+    def _attempt_main(self, slot: int, attempt: int,
+                      indices: Sequence[int], conn,
+                      report: Callable[[tuple], None]) -> None:
+        in_process = self.substrate == "fork"
+        thunks, n = self.thunks, len(self.thunks)
+        faults, io_wait = self.faults, self.io_wait_s
+        first_pass = min(n, len(indices))
+        clock = time.perf_counter
         try:
-            schedule = self.schedule_for(idx)
-            reservoir = Reservoir(self.reservoir_capacity, seed=idx + 1)
-            before = self._stats_probe()
-            io_wait = self.io_wait_s
-            first_pass = min(self.first_pass, len(schedule))
-            outcomes: List[Tuple[int, int, tuple]] = []
-            clock = time.perf_counter
-            barrier.wait(JOIN_TIMEOUT_S)
-            loop_start = clock()
+            # Threads share the parent's engine; its delta is probed
+            # around the whole run instead.
+            before = self._stats_probe() if in_process else {}
+            start = clock()
+            conn.send(("ready", start))
             first_pass_s = 0.0
-            faults = self.faults
-            for done, (sched_idx, thunk) in enumerate(schedule, start=1):
+            for ordinal, index in enumerate(indices):
                 if faults is not None:
-                    faults.on_request(idx, 0, done - 1, in_process=True)
+                    # Fires *before* the request, so an injected fault
+                    # is never mistaken for an outcome.  A forked KILL
+                    # is os._exit: no cleanup, its pipe just ends.
+                    faults.on_request(slot, attempt, ordinal,
+                                      in_process=in_process)
                 started = clock()
-                outcome = normalize_outcome(thunk)
-                # thunk-only latency: the simulated I/O sleep below
-                # models off-CPU time, same as LatencyRecorder.timed.
-                reservoir.record(clock() - started)
-                if done == first_pass:
-                    first_pass_s = clock() - loop_start
-                outcomes.append((idx, sched_idx, outcome))
+                outcome = normalize_outcome(thunks[index % n])
+                report(("req", index, outcome, clock() - started))
+                if ordinal + 1 == first_pass:
+                    first_pass_s = clock() - start
                 if io_wait:
                     time.sleep(io_wait)
-            elapsed = clock() - loop_start
-            after = self._stats_probe()
-            payload.update(
-                completed=len(outcomes), elapsed_s=elapsed,
-                first_pass_s=first_pass_s, outcomes=outcomes,
-                samples=reservoir.samples(),
-                sample_count=reservoir.count,
-                stats_delta={name: after[name] - before[name]
-                             for name in before})
-        except Exception:  # noqa: BLE001 - ship the whole traceback
-            payload["error"] = traceback.format_exc()
-        result_queue.put(payload)
-
-    def run(self) -> MultiProcessRun:
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        # workers + the parent: timing starts when every forked child
-        # is imported, scheduled, and standing at the line.
-        barrier = ctx.Barrier(self.workers + 1)
-        processes = [
-            ctx.Process(target=self._child_main,
-                        args=(idx, barrier, result_queue), daemon=True)
-            for idx in range(self.workers)]
-        for process in processes:
-            process.start()
-        barrier.wait(JOIN_TIMEOUT_S)
-        started = time.perf_counter()
-        deadline = started + JOIN_TIMEOUT_S
-        run = MultiProcessRun(self.workers, self.requests, 0.0)
-        # Drain results BEFORE joining: a child flushing a large result
-        # through the queue's pipe cannot exit until the parent reads
-        # it — join-first would deadlock.
-        pending = self.workers
-        reported: set = set()
-        graced = False
-        while pending:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
+            after = self._stats_probe() if in_process else {}
+            conn.send(("done", {name: after[name] - before[name]
+                                for name in before}, first_pass_s))
+        except Exception:  # noqa: BLE001 - infra failure, not outcome
             try:
-                payload = result_queue.get(timeout=min(0.25, remaining))
-            except queue_module.Empty:
-                # A dead child can never report; waiting out the full
-                # deadline for one would stall a crashed run for
-                # minutes.  One extra grace poll covers a payload still
-                # in flight through the queue's feeder pipe.
-                dead = sum(1 for idx in range(self.workers)
-                           if idx not in reported
-                           and not processes[idx].is_alive())
-                if dead == pending:
-                    if graced:
-                        break
-                    graced = True
-                continue
-            graced = False
-            reported.add(payload["worker"])
-            pending -= 1
-            if payload.get("error"):
+                conn.send(("crash", traceback.format_exc()))
+            except Exception:  # noqa: BLE001 - pipe closed by the parent
+                pass
+        finally:
+            conn.close()
+
+    def _start(self, ctx, run: Run, slot: int, attempt: int,
+               indices: Sequence[int]) -> _Attempt:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        if ctx is None:
+            # A thread reports each outcome straight into the run; only
+            # its ready and terminal messages travel over the pipe.
+            def report(message: tuple) -> None:
+                with self._accept_lock:
+                    run.accept(slot, attempt, *message[1:])
+
+            worker = threading.Thread(
+                target=self._attempt_main,
+                args=(slot, attempt, indices, writer, report), daemon=True)
+            worker.start()
+        else:
+            worker = ctx.Process(
+                target=self._attempt_main,
+                args=(slot, attempt, indices, writer, writer.send),
+                daemon=True)
+            worker.start()
+            # The child holds the only writer end now, so its exit is
+            # an end-of-file here — no later fork inherits it.
+            writer.close()
+        return _Attempt(slot, attempt, indices, reader, worker,
+                        time.perf_counter())
+
+    def _churner(self, idx: int, fn: Churn, stop: threading.Event,
+                 applied: List[int], run: Run) -> None:
+        step = 0
+        try:
+            while not stop.is_set():
+                if self.faults is not None:
+                    # Mutator death mid-wave-sequence: requests keep
+                    # serving; the writer lock made each wave atomic.
+                    self.faults.on_churn_step(idx, step)
+                fn(step)
+                step += 1
+                applied[idx] = step
+                if stop.wait(self.churn_interval_s):
+                    break
+        except Exception as exc:  # noqa: BLE001 - driver-level crash
+            run.crashes.append(f"churn step {step}: {exc!r}")
+
+    # -- parent side ---------------------------------------------------------
+
+    def run(self) -> Run:
+        ctx = (multiprocessing.get_context("fork")
+               if self.substrate == "fork" else None)
+        run = Run(self.workers, self.requests)
+        clock = time.perf_counter
+        before = self._stats_probe()
+        live: Dict[object, _Attempt] = {}
+        for slot in range(self.workers):
+            att = self._start(ctx, run, slot, 0,
+                              self.schedule_indices(slot))
+            live[att.conn] = att
+        stop_churn = threading.Event()
+        applied = [0] * len(self.churns)
+        churners = [threading.Thread(
+            target=self._churner, args=(i, fn, stop_churn, applied, run),
+            daemon=True) for i, fn in enumerate(self.churns)]
+        for thread in churners:
+            thread.start()
+        opened = clock()
+        deadline = opened + JOIN_TIMEOUT_S
+        started = None
+        # Thread outcomes bypass the pipe, so it carries no heartbeat for
+        # them — and a thread cannot be killed: only the deadline applies.
+        hang = self.hang_timeout_s if ctx is not None else JOIN_TIMEOUT_S
+
+        def fail(att: _Attempt, reason: str) -> None:
+            del live[att.conn]
+            diagnosis = att.stop()
+            if reason == "died":
+                reason = f"died ({diagnosis})"
+            note = f"slot {att.slot} attempt {att.attempt} {reason}"
+            remainder = [i for i in att.indices if i not in run.outcomes]
+            if not remainder:
+                run.restart_log.append(f"{note}; nothing left to replay")
+                return
+            if att.attempt >= self.max_retries:
+                run.restart_log.append(
+                    f"{note}; retry budget exhausted, abandoning "
+                    f"{len(remainder)} request(s)")
                 run.crashes.append(
-                    f"worker {payload['worker']}: {payload['error']}")
-                continue
-            run.reports.append(WorkerReport(
-                worker=payload["worker"],
-                completed=payload["completed"],
-                elapsed_s=payload["elapsed_s"],
-                first_pass_s=payload["first_pass_s"],
-                outcomes=payload["outcomes"],
-                samples=payload["samples"],
-                sample_count=payload["sample_count"],
-                stats_delta=payload["stats_delta"]))
-            run.completed += payload["completed"]
-        run.elapsed_s = time.perf_counter() - started
-        if pending:
-            missing = sorted(set(range(self.workers)) - reported)
-            run.crashes.append(
-                f"{pending} worker(s) sent no report "
-                f"(workers {missing})")
-        for process in processes:
-            process.join(timeout=max(0.1, deadline - time.perf_counter()))
-        for idx, process in enumerate(processes):
-            if process.is_alive():
-                process.terminate()
-                process.join(5.0)
-                run.crashes.append(f"worker {idx}: terminated (hung)")
-            elif process.exitcode not in (0, None) and not any(
-                    f"worker {idx}:" in crash for crash in run.crashes):
+                    f"worker {att.slot}: {reason}; abandoned "
+                    f"{len(remainder)} request(s)")
+                run.abandoned += len(remainder)
+                run.abandoned_indices.extend(remainder)
+                return
+            backoff = min(self.backoff_cap_s,
+                          self.backoff_base_s * (2 ** att.attempt))
+            run.restart_log.append(
+                f"{note}; respawning {len(remainder)} request(s) after "
+                f"{backoff:.3f}s")
+            if backoff:
+                time.sleep(backoff)
+            run.restarts += 1
+            self._bump_engine("workers_restarted")
+            # Forked from the parent's still-warm engine: the respawn
+            # starts with every plan/cache/wrapper the parent has.
+            new = self._start(ctx, run, att.slot, att.attempt + 1,
+                              remainder)
+            live[new.conn] = new
+
+        while live:
+            now = clock()
+            if now > deadline:
+                for att in list(live.values()):
+                    del live[att.conn]
+                    att.stop()
+                    remainder = [i for i in att.indices
+                                 if i not in run.outcomes]
+                    run.abandoned += len(remainder)
+                    run.abandoned_indices.extend(remainder)
                 run.crashes.append(
-                    f"worker {idx}: exit code {process.exitcode}")
-        run.reports.sort(key=lambda report: report.worker)
-        reported = {report.worker: report.completed
-                    for report in run.reports}
-        run.lost = sum(len(self.schedule_for(idx)) - reported.get(idx, 0)
-                       for idx in range(self.workers))
+                    f"supervision deadline ({JOIN_TIMEOUT_S}s) hit")
+                break
+            quiet = min(att.last_seen for att in live.values())
+            timeout = min(deadline, quiet + hang) - now
+            for conn in connection.wait(list(live), max(0.0, timeout)):
+                att = live.get(conn)
+                if att is None:  # retired earlier in this batch
+                    continue
+                message = _recv(conn)
+                if message is None:
+                    fail(att, "died")
+                    continue
+                att.last_seen = clock()
+                kind = message[0]
+                if kind == "ready":
+                    # perf_counter is system-wide monotonic, so a forked
+                    # worker's start time is on the parent's clock.
+                    started = min(started or message[1], message[1])
+                elif kind == "req":
+                    run.accept(att.slot, att.attempt, *message[1:])
+                elif kind == "done":
+                    del live[conn]
+                    att.stop()
+                    _, delta, first_pass_s = message
+                    slot_delta = run.worker_deltas.setdefault(att.slot, {})
+                    for name, value in delta.items():
+                        slot_delta[name] = slot_delta.get(name, 0) + value
+                    run.first_pass_s = max(run.first_pass_s, first_pass_s)
+                else:  # "crash"
+                    fail(att, "crashed: "
+                         + message[1].strip().splitlines()[-1])
+            now = clock()
+            for att in list(live.values()):
+                if now - att.last_seen > hang and not att.conn.poll():
+                    fail(att, f"hung (silent for {hang}s)")
+        run.elapsed_s = clock() - (started or opened)
+        stop_churn.set()
+        for thread in churners:
+            thread.join(max(1.0, deadline - clock()))
+            if thread.is_alive():
+                run.crashes.append(f"churn thread {thread.name} hung")
+        run.churn_applied = sum(applied)
+        after = self._stats_probe()
+        run.stats_delta = {name: after[name] - before[name]
+                           for name in before}
+        for delta in run.worker_deltas.values():
+            for name, value in delta.items():
+                run.stats_delta[name] = run.stats_delta.get(name, 0) + value
+        self._bump_engine("requests_replayed", run.completed_retried)
         return run
+
+    def run_single_threaded_oracle(self) -> Run:
+        """The comparison baseline: the same schedule on one thread, no
+        churn, no faults."""
+        return Driver(self.thunks, workers=1,
+                      requests=self.requests).run()
+
+
+def _recv(conn):
+    """One message, or None at end of stream — a clean end-of-file or a
+    frame torn by a writer that died mid-send."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        return None

@@ -6,9 +6,8 @@ transit, and mutator threads die between invalidation waves.  This
 module is the *instrumentation* half of the fault-tolerance story: a
 :class:`FaultPlan` is a finite script of :class:`Fault` records keyed
 by **(worker slot, attempt, request ordinal)** — pure data, installed
-into the drivers (``ConcurrentDriver``, ``MultiProcessDriver``,
-``SupervisedDriver``) and the serving harness through an optional
-``faults=`` parameter.
+into :class:`~repro.concurrency.driver.Driver` and the serving harness
+through an optional ``faults=`` parameter.
 
 Design rules:
 
@@ -30,10 +29,10 @@ Fault kinds:
 ``KILL``
     Worker death at a request boundary.  In a forked worker the
     injection point calls ``os._exit(KILL_EXIT_CODE)`` — no cleanup,
-    no queue flush, exactly like a segfault or an OOM kill.  In a
+    no flush, exactly like a segfault or an OOM kill.  In a
     worker *thread* (where ``_exit`` would take the whole process) it
     raises :class:`InjectedFaultError` out of the worker loop instead,
-    which the threaded driver records as a crash and the slice is lost.
+    which the driver handles like any other worker crash.
 ``ERROR``
     An infrastructure exception at the injection point (a poisoned
     deserializer, a dead database handle).  Raised before the thunk

@@ -17,9 +17,14 @@ surface as tail latency instead of averaging away.
   absolute even for writes);
 * :mod:`~repro.serving.churn` — reloader/typegen/retype mutator
   recipes plus deopt-storm accounting;
-* :mod:`~repro.serving.harness` — scenario runner producing
-  :class:`~repro.serving.harness.ServingReport` (rps, percentiles,
-  per-phase tier transitions, oracle verdicts).
+* :mod:`~repro.serving.harness` — one
+  :class:`~repro.serving.harness.Scenario` type and one
+  :func:`~repro.serving.harness.run_scenario` runner for every
+  substrate (worker threads, or workers forked from a possibly
+  snapshot-warmed parent, optionally supervised with respawns),
+  producing a :class:`~repro.serving.harness.Report` (rps,
+  percentiles, tier transitions, recovery accounting, and per-index
+  oracle verdicts).
 
 ``benchmarks/bench_serving.py`` builds the committed
 ``BENCH_serving.json`` baseline on top of these;
@@ -27,14 +32,10 @@ surface as tail latency instead of averaging away.
 """
 
 from .churn import churn_suite, count_storms, reload_churn, retype_churn, typegen_churn
-from .harness import (
-    MultiProcReport, MultiProcScenario, ServingReport, ServingScenario,
-    SupervisedReport, SupervisedScenario, run_multiproc_scenario,
-    run_scenario, run_supervised_scenario,
-)
+from .harness import Report, Scenario, run_scenario
 from .latency import (
     DEFAULT_CAPACITY, LatencyRecorder, LatencySummary, Reservoir, nearest_rank,
-    summarize_partitioned, summarize_samples,
+    summarize_samples,
 )
 from .recipes import (
     build_serving_world, mask_ids, mixed_thunks, read_thunks, scenario_thunks,
@@ -45,13 +46,9 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "LatencyRecorder",
     "LatencySummary",
-    "MultiProcReport",
-    "MultiProcScenario",
+    "Report",
     "Reservoir",
-    "ServingReport",
-    "ServingScenario",
-    "SupervisedReport",
-    "SupervisedScenario",
+    "Scenario",
     "build_serving_world",
     "churn_suite",
     "count_storms",
@@ -61,11 +58,8 @@ __all__ = [
     "read_thunks",
     "reload_churn",
     "retype_churn",
-    "run_multiproc_scenario",
     "run_scenario",
-    "run_supervised_scenario",
     "scenario_thunks",
-    "summarize_partitioned",
     "summarize_samples",
     "typegen_churn",
     "write_heavy_thunks",

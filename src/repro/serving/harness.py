@@ -1,408 +1,82 @@
 """The end-to-end serving harness: scenarios in, latency-graded and
 differentially-verified reports out.
 
-One :class:`ServingScenario` names an app, a request mix (read / write
-/ mixed), a thread count, and a churn kind; :func:`run_scenario`:
+One :class:`Scenario` names an app, a request mix (read / write /
+mixed), a substrate (worker threads or forked workers), a worker
+count, a churn kind, and a retry policy; :func:`run_scenario`:
 
-1. builds and seeds the world, warms the schedule (annotations
-   executed, bodies checked, plans built — tier promotion is left to
-   happen *during* the measured run unless the scenario warms past the
-   promotion threshold, because promotion waves are part of the tail
-   story);
-2. replays the schedule from N worker threads through
-   :class:`~repro.concurrency.driver.ConcurrentDriver`, with one
-   dedicated mutator thread per churn recipe, every request timed into
-   the per-thread reservoirs of a
-   :class:`~repro.serving.latency.LatencyRecorder`;
-3. snapshots tier-transition counters (promotions, deopts, plan
-   invalidations, re-annotations) at each phase boundary, so a deopt
-   storm is attributable to the phase whose p999 it poisoned;
-4. verifies the run differentially: the outcome multiset must equal a
-   single-threaded replay on the same warm engine **and** a replay on a
-   fresh cache-free oracle world (``Engine(disable_caches=True)``) —
-   the acceptance bar every scale of this repo answers to.
+1. builds and seeds the world, optionally warm-starts its engine from a
+   snapshot, and warms the schedule (annotations executed, bodies
+   checked, plans built — tier promotion is left to happen *during*
+   the measured run unless the scenario warms past the promotion
+   threshold, because promotion waves are part of the tail story);
+2. replays the schedule through one
+   :class:`~repro.concurrency.driver.Driver`, with one dedicated
+   mutator thread per churn recipe, every request timed, and the
+   tier-transition counters (promotions, deopts, plan invalidations)
+   the run paid collected;
+3. verifies the run differentially, **per schedule index**: every
+   accepted outcome — replays included — must equal a single-threaded
+   replay of that index on the same warm engine (``oracle_match``)
+   **and** on a fresh cache-free oracle world
+   (``Engine(disable_caches=True)``, ``oracle_match_cache_free``) — the
+   acceptance bar every scale of this repo answers to.
 
 The recipes' disjoint-resource discipline (see ``recipes``) is what
-makes step 4 exact: each thunk's outcome is interleaving-independent,
-so any divergence is a soundness bug, not scheduling noise.
+makes step 3 exact for every substrate: each thunk's outcome is
+interleaving-independent, so any divergence is a soundness bug, not
+scheduling noise.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..concurrency import (
-    ConcurrentDriver, MultiProcessDriver, SupervisedDriver,
-)
-from ..concurrency.driver import normalize_outcome
+from ..concurrency.driver import Driver, normalize_outcome
 from ..core import Engine, EngineConfig
 from ..snapshot import load_snapshot
 from .churn import churn_suite, count_storms
-from .latency import (
-    LatencyRecorder, LatencySummary, summarize_partitioned,
-    summarize_samples,
-)
+from .latency import LatencySummary, summarize_samples
 from .recipes import build_serving_world, scenario_thunks
-
-#: the stats attributes snapshotted at phase boundaries — the tier
-#: transitions that show up as tail latency when they wave.
-TRANSITION_FIELDS = (
-    "promotions", "repromotions", "deopts", "elide_promotions",
-    "elide_deopts", "plan_invalidations", "invalidations",
-    "annotations_total",
-)
 
 
 @dataclass
-class ServingScenario:
+class Scenario:
     """One serving measurement configuration."""
 
     name: str
     app: str = "boxroom"
     mix: str = "mixed"             # read | write | mixed
-    threads: int = 8
+    substrate: str = "thread"      # thread | fork
+    workers: int = 8
     requests: int = 400
     io_wait_s: float = 0.002
-    churn: str = "none"            # none | retype | full
+    churn: str = "none"            # none | retype | full (threads only)
     churn_interval_s: float = 0.005
-    #: sequential passes over the schedule before timing starts.
+    #: sequential passes over the schedule before timing starts (forked
+    #: workers and every respawn inherit the warm engine).
     warm_rounds: int = 4
     cfg: Optional[dict] = None
-    reservoir_capacity: int = 16384
-
-
-@dataclass
-class ServingReport:
-    """Everything one scenario run measured and verified."""
-
-    scenario: str
-    app: str
-    mix: str
-    threads: int
-    requests: int
-    completed: int
-    elapsed_s: float
-    rps: float
-    latency: LatencySummary
-    errors: int
-    crashes: List[str]
-    churn_applied: int
-    deopt_storms: int
-    #: phase name -> {counter: delta} for TRANSITION_FIELDS.
-    phases: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: threaded run vs single-threaded replay on the same warm engine.
-    oracle_match: bool = False
-    #: threaded run vs a fresh cache-free oracle world's replay.
-    oracle_match_cache_free: bool = False
-
-    def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario."""
-        out = {
-            "app": self.app,
-            "mix": self.mix,
-            "threads": self.threads,
-            "requests": self.requests,
-            "completed": self.completed,
-            "rps": round(self.rps, 1),
-            "errors": self.errors,
-            "crashes": len(self.crashes),
-            "churn_applied": self.churn_applied,
-            "deopt_storms": self.deopt_storms,
-            "oracle_match": int(self.oracle_match),
-            "oracle_match_cache_free": int(self.oracle_match_cache_free),
-            "phases": self.phases,
-        }
-        out.update(self.latency.as_ms_dict())
-        return out
-
-
-def _transition_snapshot(stats) -> Dict[str, int]:
-    return {name: int(getattr(stats, name)) for name in TRANSITION_FIELDS}
-
-
-def _transition_delta(before: Dict[str, int],
-                      after: Dict[str, int]) -> Dict[str, int]:
-    return {name: after[name] - before[name] for name in before}
-
-
-def _warm(thunks, rounds: int) -> None:
-    for _ in range(rounds):
-        for thunk in thunks:
-            thunk()
-
-
-def _oracle_multiset(thunks, requests: int) -> Counter:
-    """Single-threaded replay of the same round-robin schedule."""
-    driver = ConcurrentDriver(thunks, threads=1, requests=requests)
-    run = driver.run()
-    if run.crashes:
-        raise RuntimeError(f"oracle replay crashed: {run.crashes}")
-    return run.outcome_multiset()
-
-
-def run_scenario(scenario: ServingScenario, *,
-                 differential: bool = True,
-                 cache_free_oracle: bool = True,
-                 faults=None) -> ServingReport:
-    """Run one scenario end to end; see the module docstring.
-
-    ``faults`` (a :class:`repro.faults.FaultPlan`) scripts worker-thread
-    and mutator-thread failures into the measured run; injected faults
-    surface as driver crashes, never as request outcomes."""
-    world = build_serving_world(scenario.app, cfg=scenario.cfg)
-    thunks = scenario_thunks(world, scenario.mix)
-    stats = world.engine.stats
-
-    recorder = LatencyRecorder(scenario.reservoir_capacity)
-    timed = [recorder.timed(t) for t in thunks]
-
-    phases: Dict[str, Dict[str, int]] = {}
-    mark = _transition_snapshot(stats)
-    _warm(thunks, scenario.warm_rounds)
-    after_warm = _transition_snapshot(stats)
-    phases["warmup"] = _transition_delta(mark, after_warm)
-
-    storm_dicts = []
-    churns = []
-    for recipe in churn_suite(world, scenario.churn):
-        storms = {"count": 0}
-        storm_dicts.append(storms)
-        churns.append(count_storms(recipe, stats, storms))
-
-    driver = ConcurrentDriver(
-        timed, threads=scenario.threads, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, churn=churns or None,
-        churn_interval_s=scenario.churn_interval_s, faults=faults)
-    run = driver.run()
-    after_run = _transition_snapshot(stats)
-    phases["measured"] = _transition_delta(after_warm, after_run)
-
-    # Summarize latency before any oracle replay can touch the timed
-    # thunks again.
-    latency = recorder.summary()
-
-    report = ServingReport(
-        scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        threads=scenario.threads, requests=scenario.requests,
-        completed=run.completed, elapsed_s=run.elapsed_s,
-        rps=run.throughput_rps, latency=latency,
-        errors=len(run.error_outcomes), crashes=list(run.crashes),
-        churn_applied=run.churn_applied,
-        deopt_storms=sum(s["count"] for s in storm_dicts),
-        phases=phases)
-
-    if differential:
-        # (a) Same warm engine, one thread, no churn: isolates thread
-        # interleaving + churn as the only variables.
-        warm_oracle = _oracle_multiset(thunks, scenario.requests)
-        report.oracle_match = (run.outcome_multiset() == warm_oracle)
-        phases["oracle_replay"] = _transition_delta(
-            after_run, _transition_snapshot(stats))
-        if cache_free_oracle:
-            # (b) A fresh world on a cache-free engine: every judgment
-            # recomputed from scratch — the absolute acceptance bar.
-            oracle_world = build_serving_world(
-                scenario.app, engine=Engine(disable_caches=True),
-                cfg=scenario.cfg)
-            oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-            free_oracle = _oracle_multiset(oracle_thunks,
-                                           scenario.requests)
-            report.oracle_match_cache_free = (
-                run.outcome_multiset() == free_oracle)
-    return report
-
-
-# -- pre-fork multi-process serving ------------------------------------------
-
-
-@dataclass
-class MultiProcScenario:
-    """One multi-process serving measurement configuration."""
-
-    name: str
-    app: str = "boxroom"
-    mix: str = "read"              # read | write | mixed
-    workers: int = 4
-    requests: int = 480
-    io_wait_s: float = 0.002
-    #: sequential passes over the schedule in the *parent* before the
-    #: fork — what the children inherit copy-on-write.
-    warm_rounds: int = 0
-    #: a snapshot path or document to warm-start the parent engine from
-    #: (children inherit the restored state); None = cold start.
+    #: a snapshot path or document to warm-start the engine from;
+    #: None = cold start.
     snapshot: Optional[object] = None
-    cfg: Optional[dict] = None
     #: override EngineConfig.specialize_threshold (None = default).
     specialize_threshold: Optional[int] = None
-    reservoir_capacity: int = 16384
-
-
-@dataclass
-class MultiProcReport:
-    """Everything one multi-process run measured and verified."""
-
-    scenario: str
-    app: str
-    mix: str
-    workers: int
-    requests: int
-    completed: int
-    #: scheduled requests that never completed (crashed workers'
-    #: slices); ``completed + lost == requests`` always — a crashed
-    #: worker's share can no longer silently vanish from the report.
-    lost: int
-    elapsed_s: float
-    rps: float
-    latency: LatencySummary
-    errors: int
-    crashes: List[str]
-    #: slowest worker's first full pass — the deploy's cold-start
-    #: window (near zero when snapshot-warmed).
-    first_pass_s: float
-    #: STATS_DELTA_FIELDS summed across workers: how much cold start
-    #: (checks, misses, promotions, deopts) the fleet actually paid.
-    transitions: Dict[str, int] = field(default_factory=dict)
-    #: per-worker stats deltas, in worker order.
-    per_worker: List[Dict[str, int]] = field(default_factory=list)
-    #: the SnapshotLoad.as_dict() of the warm-start attempt ({} = cold).
-    snapshot: Dict[str, object] = field(default_factory=dict)
-    #: per-worker: outcome multiset == cache-free oracle replay of the
-    #: worker's exact schedule slice.
-    worker_oracle_matches: List[bool] = field(default_factory=list)
-    #: all workers matched and none crashed.
-    oracle_match_cache_free: bool = False
-
-    def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario."""
-        out = {
-            "app": self.app,
-            "mix": self.mix,
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "lost": self.lost,
-            "rps": round(self.rps, 1),
-            "errors": self.errors,
-            "crashes": len(self.crashes),
-            "first_pass_ms": round(self.first_pass_s * 1000, 3),
-            "transitions": dict(self.transitions),
-            "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
-            "oracle_match_cache_free": int(self.oracle_match_cache_free),
-        }
-        out.update(self.latency.as_ms_dict())
-        return out
-
-
-def run_multiproc_scenario(scenario: MultiProcScenario, *,
-                           differential: bool = True,
-                           faults=None) -> MultiProcReport:
-    """Run one pre-fork scenario: build (and optionally snapshot-warm)
-    the parent world, fork ``workers`` processes over the shared
-    round-robin schedule, merge their reservoirs for exact aggregate
-    percentiles, and verify each worker's outcome multiset against a
-    cache-free oracle replay of that worker's exact schedule slice."""
-    engine = None
-    if scenario.specialize_threshold is not None:
-        engine = Engine(EngineConfig(
-            specialize_threshold=scenario.specialize_threshold))
-    world = build_serving_world(scenario.app, engine=engine,
-                                cfg=scenario.cfg)
-    engine = world.engine
-
-    snapshot_report: Dict[str, object] = {}
-    if scenario.snapshot is not None:
-        snapshot_report = load_snapshot(engine, scenario.snapshot).as_dict()
-
-    thunks = scenario_thunks(world, scenario.mix)
-    _warm(thunks, scenario.warm_rounds)
-
-    driver = MultiProcessDriver(
-        thunks, workers=scenario.workers, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, engine=engine,
-        reservoir_capacity=scenario.reservoir_capacity, faults=faults)
-    run = driver.run()
-
-    # Accounting identity: every scheduled request either completed or
-    # is explicitly counted lost — crashed slices must not vanish.
-    if run.completed + run.lost != scenario.requests:
-        raise RuntimeError(
-            f"multiproc accounting violated: completed={run.completed} "
-            f"+ lost={run.lost} != scheduled={scenario.requests}")
-    if run.lost and not run.crashes:
-        raise RuntimeError(
-            f"{run.lost} request(s) lost with no crash recorded")
-
-    samples, count = run.merged_samples()
-    latency = summarize_samples(samples, count)
-
-    report = MultiProcReport(
-        scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        workers=scenario.workers, requests=scenario.requests,
-        completed=run.completed, lost=run.lost, elapsed_s=run.elapsed_s,
-        rps=run.throughput_rps, latency=latency,
-        errors=len(run.error_outcomes), crashes=list(run.crashes),
-        first_pass_s=run.first_pass_s,
-        transitions=run.stats_total(),
-        per_worker=[dict(r.stats_delta) for r in run.reports],
-        snapshot=snapshot_report)
-
-    if differential:
-        # Fresh cache-free world; replay each worker's exact slice so a
-        # single worker gone wrong cannot hide in the aggregate.
-        oracle_world = build_serving_world(
-            scenario.app, engine=Engine(disable_caches=True),
-            cfg=scenario.cfg)
-        oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-        n = len(oracle_thunks)
-        matches = []
-        for worker_report in run.reports:
-            expected = Counter(
-                normalize_outcome(oracle_thunks[index % n])
-                for index in driver.schedule_indices(worker_report.worker))
-            matches.append(worker_report.outcome_multiset() == expected)
-        report.worker_oracle_matches = matches
-        report.oracle_match_cache_free = (
-            bool(matches) and all(matches) and not run.crashes
-            and len(matches) == scenario.workers)
-    return report
-
-
-# -- supervised fault-tolerant serving ---------------------------------------
-
-
-@dataclass
-class SupervisedScenario:
-    """One supervised (fault-tolerant) serving configuration."""
-
-    name: str
-    app: str = "boxroom"
-    mix: str = "read"              # read | write | mixed
-    workers: int = 4
-    requests: int = 480
-    io_wait_s: float = 0.002
-    #: parent-side warm passes before the first fork (children and
-    #: every respawn inherit the warm engine copy-on-write).
-    warm_rounds: int = 0
-    #: snapshot path/document to warm-start the parent from; respawned
-    #: workers fork from this restored state too.
-    snapshot: Optional[object] = None
-    cfg: Optional[dict] = None
-    specialize_threshold: Optional[int] = None
-    max_retries: int = 2
+    max_retries: int = 0
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 1.0
     hang_timeout_s: float = 5.0
 
 
 @dataclass
-class SupervisedReport:
-    """Everything one supervised run measured, recovered, and verified."""
+class Report:
+    """Everything one scenario run measured, recovered, and verified."""
 
     scenario: str
     app: str
     mix: str
+    substrate: str
     workers: int
     requests: int
     completed_first: int
@@ -411,62 +85,83 @@ class SupervisedReport:
     restarts: int
     elapsed_s: float
     rps: float
-    #: {"first_attempt": {...}, "replayed": {...}|None, "combined":
-    #: {...}} — replay latency attributed separately so recovery cost
-    #: cannot hide in the steady-state tail.
-    latency: Dict[str, Optional[dict]] = field(default_factory=dict)
-    crashes: List[str] = field(default_factory=list)
-    restart_log: List[str] = field(default_factory=list)
-    #: STATS_DELTA_FIELDS summed over attempts that finished cleanly.
+    #: every accepted outcome's latency (None if nothing completed).
+    latency: Optional[LatencySummary]
+    #: replayed outcomes only — recovery cost gets its own percentile
+    #: column instead of silently fattening the steady-state tail.
+    replay_latency: Optional[LatencySummary]
+    errors: int
+    crashes: List[str]
+    restart_log: List[str]
+    churn_applied: int
+    deopt_storms: int
+    #: slowest worker's first full pass — the cold-start window.
+    first_pass_s: float
+    #: TRANSITION_FIELDS deltas the measured run paid, and per forked
+    #: worker slot.
     transitions: Dict[str, int] = field(default_factory=dict)
+    per_worker: List[Dict[str, int]] = field(default_factory=list)
+    #: the SnapshotLoad.as_dict() of the warm-start attempt ({} = cold).
     snapshot: Dict[str, object] = field(default_factory=dict)
     #: parent-engine deltas of the fault-tolerance counters.
     workers_restarted: int = 0
     requests_replayed: int = 0
-    #: scheduled == completed_first + completed_retried + abandoned.
-    accounting_ok: bool = False
-    #: every accepted outcome (replays included) equals the cache-free
-    #: oracle's outcome for its exact schedule index.
+    #: per worker slot: its accepted outcomes all match the cache-free
+    #: oracle.
+    worker_oracle_matches: List[bool] = field(default_factory=list)
+    #: accepted outcomes vs the same warm engine, single-threaded.
+    oracle_match: bool = False
+    #: accepted outcomes vs a fresh cache-free oracle world.
     oracle_match_cache_free: bool = False
 
     @property
     def completed(self) -> int:
         return self.completed_first + self.completed_retried
 
+    @property
+    def accounting_ok(self) -> bool:
+        """requests == completed_first + completed_retried + abandoned."""
+        return self.requests == self.completed + self.abandoned
+
     def as_dict(self) -> dict:
         """The committed-baseline JSON shape for this scenario."""
-        return {
+        out = {
             "app": self.app,
             "mix": self.mix,
+            "substrate": self.substrate,
             "workers": self.workers,
             "requests": self.requests,
             "completed": self.completed,
-            "completed_first": self.completed_first,
             "completed_retried": self.completed_retried,
             "abandoned": self.abandoned,
             "restarts": self.restarts,
-            "workers_restarted": self.workers_restarted,
-            "requests_replayed": self.requests_replayed,
             "rps": round(self.rps, 1),
+            "errors": self.errors,
             "crashes": len(self.crashes),
+            "churn_applied": self.churn_applied,
+            "deopt_storms": self.deopt_storms,
+            "first_pass_ms": round(self.first_pass_s * 1000, 3),
+            "transitions": dict(self.transitions),
+            "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
             "accounting_ok": int(self.accounting_ok),
+            "oracle_match": int(self.oracle_match),
             "oracle_match_cache_free": int(self.oracle_match_cache_free),
-            "latency": self.latency,
         }
+        if self.latency is not None:
+            out.update(self.latency.as_ms_dict())
+        if self.replay_latency is not None:
+            out["replayed"] = self.replay_latency.as_ms_dict()
+        return out
 
 
-def run_supervised_scenario(scenario: SupervisedScenario, *,
-                            differential: bool = True,
-                            faults=None) -> SupervisedReport:
-    """Run one supervised pre-fork scenario: build (and optionally
-    snapshot-warm) the parent world, fork workers under supervision,
-    recover from injected (or real) worker deaths by respawning from
-    the parent's warm engine, and verify every *accepted* outcome —
-    replays included — against a cache-free oracle replay of its exact
-    schedule index.
+def run_scenario(scenario: Scenario, *, faults=None) -> Report:
+    """Run one scenario end to end; see the module docstring.
 
-    The accounting invariant is enforced, not just reported: a run
-    whose buckets do not partition the schedule raises."""
+    ``faults`` (a :class:`repro.faults.FaultPlan`) scripts worker and
+    mutator failures into the measured run; injected faults surface as
+    restarts, abandoned requests, and crashes, never as outcomes.  The
+    accounting invariant is enforced, not just reported: a run whose
+    buckets do not partition the schedule raises."""
     engine = None
     if scenario.specialize_threshold is not None:
         engine = Engine(EngineConfig(
@@ -474,63 +169,79 @@ def run_supervised_scenario(scenario: SupervisedScenario, *,
     world = build_serving_world(scenario.app, engine=engine,
                                 cfg=scenario.cfg)
     engine = world.engine
-
-    snapshot_report: Dict[str, object] = {}
+    snapshot: Dict[str, object] = {}
     if scenario.snapshot is not None:
-        snapshot_report = load_snapshot(engine, scenario.snapshot).as_dict()
+        snapshot = load_snapshot(engine, scenario.snapshot).as_dict()
 
     thunks = scenario_thunks(world, scenario.mix)
-    _warm(thunks, scenario.warm_rounds)
+    for _ in range(scenario.warm_rounds):
+        for thunk in thunks:
+            thunk()
 
     stats = engine.stats
+    storms = []
+    churns = []
+    for recipe in churn_suite(world, scenario.churn):
+        storms.append({"count": 0})
+        churns.append(count_storms(recipe, stats, storms[-1]))
     restarted_before = stats.workers_restarted
     replayed_before = stats.requests_replayed
 
-    driver = SupervisedDriver(
+    run = Driver(
         thunks, workers=scenario.workers, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, engine=engine, faults=faults,
+        substrate=scenario.substrate, io_wait_s=scenario.io_wait_s,
+        engine=engine, churn=churns,
+        churn_interval_s=scenario.churn_interval_s, faults=faults,
         max_retries=scenario.max_retries,
         backoff_base_s=scenario.backoff_base_s,
         backoff_cap_s=scenario.backoff_cap_s,
-        hang_timeout_s=scenario.hang_timeout_s)
-    run = driver.run()
-
+        hang_timeout_s=scenario.hang_timeout_s).run()
     if not run.accounting_ok():
         raise RuntimeError(
-            f"supervised accounting violated: "
-            f"first={run.completed_first} retried={run.completed_retried} "
-            f"abandoned={run.abandoned} != scheduled={scenario.requests}")
+            f"accounting violated: first={run.completed_first} "
+            f"retried={run.completed_retried} abandoned={run.abandoned} "
+            f"!= scheduled={scenario.requests}")
 
-    report = SupervisedReport(
+    samples = run.first_samples + run.replay_samples
+    report = Report(
         scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        workers=scenario.workers, requests=scenario.requests,
+        substrate=scenario.substrate, workers=scenario.workers,
+        requests=scenario.requests,
         completed_first=run.completed_first,
         completed_retried=run.completed_retried,
         abandoned=run.abandoned, restarts=run.restarts,
         elapsed_s=run.elapsed_s, rps=run.throughput_rps,
-        latency=summarize_partitioned(run.first_samples,
-                                      run.replay_samples),
-        crashes=list(run.crashes), restart_log=list(run.restart_log),
-        transitions=dict(run.stats_delta), snapshot=snapshot_report,
+        latency=summarize_samples(samples) if samples else None,
+        replay_latency=(summarize_samples(run.replay_samples)
+                        if run.replay_samples else None),
+        errors=len(run.error_outcomes), crashes=list(run.crashes),
+        restart_log=list(run.restart_log),
+        churn_applied=run.churn_applied,
+        deopt_storms=sum(s["count"] for s in storms),
+        first_pass_s=run.first_pass_s,
+        transitions=dict(run.stats_delta),
+        per_worker=[run.worker_deltas[slot]
+                    for slot in sorted(run.worker_deltas)],
+        snapshot=snapshot,
         workers_restarted=stats.workers_restarted - restarted_before,
-        requests_replayed=stats.requests_replayed - replayed_before,
-        accounting_ok=run.accounting_ok())
+        requests_replayed=stats.requests_replayed - replayed_before)
 
-    if differential:
-        # Per-index (not multiset) equality: each accepted outcome —
-        # first attempt or replay — must equal the cache-free oracle's
-        # outcome for that exact schedule index.
-        oracle_world = build_serving_world(
-            scenario.app, engine=Engine(disable_caches=True),
-            cfg=scenario.cfg)
-        oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-        n = len(oracle_thunks)
-        mismatches = 0
-        for sched_idx, (_, _, outcome) in sorted(run.outcomes.items()):
-            if normalize_outcome(oracle_thunks[sched_idx % n]) != outcome:
-                mismatches += 1
-        report.oracle_match_cache_free = (
-            mismatches == 0 and not run.crashes
-            and len(run.outcomes) == run.completed_first
-            + run.completed_retried)
+    accepted = sorted(run.outcomes.items())
+    n = len(thunks)
+    # (a) Same warm engine, one thread, no churn: isolates concurrency,
+    # churn, and recovery as the only variables.
+    report.oracle_match = all(
+        normalize_outcome(thunks[index % n]) == outcome
+        for index, (_, _, outcome) in accepted)
+    # (b) A fresh world on a cache-free engine: every judgment
+    # recomputed from scratch — the absolute acceptance bar.  Checked
+    # per slot so a single worker gone wrong cannot hide.
+    oracle_world = build_serving_world(
+        scenario.app, engine=Engine(disable_caches=True), cfg=scenario.cfg)
+    oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
+    wrong = {slot for index, (slot, _, outcome) in accepted
+             if normalize_outcome(oracle_thunks[index % n]) != outcome}
+    report.worker_oracle_matches = [slot not in wrong
+                                    for slot in range(scenario.workers)]
+    report.oracle_match_cache_free = not wrong
     return report

@@ -99,8 +99,8 @@ def summarize_samples(samples: List[float],
                       count: Optional[int] = None) -> "LatencySummary":
     """Build a summary from an unsorted merged sample list.  ``count``
     is the number of latencies *recorded* (>= the samples retained when
-    a reservoir overflowed) — e.g. the summed per-worker reservoir
-    counts in the multi-process merge path."""
+    a reservoir overflowed) — e.g. a recorder's summed reservoir
+    counts."""
     if not samples:
         raise ValueError("no latency samples recorded")
     merged = sorted(samples)
@@ -116,29 +116,6 @@ def summarize_samples(samples: List[float],
         max=merged[-1],
         mean=sum(merged) / len(merged),
     )
-
-
-def summarize_partitioned(first_samples: List[float],
-                          replay_samples: List[float]) -> dict:
-    """Latency attribution for supervised runs: first-attempt and
-    replayed requests summarized *separately*, plus the combined view.
-
-    Folding replays into one population would let recovery cost hide in
-    (or masquerade as) the steady-state tail; keeping the partitions
-    apart makes "replays are slower because they re-pay cold start"
-    visible as its own percentile column.  Keys without samples (e.g.
-    ``replayed`` in a fault-free run) are None.
-    """
-    out = {
-        "first_attempt": (summarize_samples(first_samples).as_ms_dict()
-                          if first_samples else None),
-        "replayed": (summarize_samples(replay_samples).as_ms_dict()
-                     if replay_samples else None),
-    }
-    combined = first_samples + replay_samples
-    out["combined"] = (summarize_samples(combined).as_ms_dict()
-                       if combined else None)
-    return out
 
 
 @dataclass(frozen=True)

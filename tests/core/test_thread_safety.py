@@ -20,13 +20,14 @@ Everything joins with timeouts; CI runs this file under a
 ``faulthandler`` timeout so a deadlock dumps stacks instead of hanging.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro import Engine, EngineConfig
 from repro.concurrency import (
-    ConcurrentDriver, build_concurrent_world, churn_recipe, request_thunks,
+    Driver, build_concurrent_world, churn_recipe, request_thunks,
 )
 
 THREADS = 8
@@ -138,7 +139,7 @@ def test_concurrent_outcomes_match_oracle(app):
     thunks = request_thunks(world)
     for thunk in thunks:  # warm: annotations executed, checks cached
         thunk()
-    driver = ConcurrentDriver(thunks, threads=THREADS, requests=96)
+    driver = Driver(thunks, workers=THREADS, requests=96)
     run = driver.run()
     oracle = driver.run_single_threaded_oracle()
     assert not run.crashes, run.crashes
@@ -155,14 +156,34 @@ def test_semantics_preserving_churn_does_not_change_outcomes():
     thunks = request_thunks(world)
     for thunk in thunks:
         thunk()
-    driver = ConcurrentDriver(thunks, threads=THREADS, requests=160,
-                              churn=churn_recipe(world),
-                              churn_interval_s=0.002)
+    driver = Driver(thunks, workers=THREADS, requests=160,
+                    churn=churn_recipe(world), churn_interval_s=0.002)
     run = driver.run()
     oracle = driver.run_single_threaded_oracle()
     assert not run.crashes, run.crashes
     assert run.churn_applied > 0
     assert run.outcome_multiset() == oracle.outcome_multiset()
+
+
+@pytest.mark.requires_threads
+def test_driver_accounting_is_exact_under_fast_switching():
+    """Eight worker threads report into one driver run while the
+    interpreter switches threads every microsecond: a lost update in
+    the run's shared accounting would break these identities."""
+    def mk(i):
+        return lambda: i * 7
+    thunks = [mk(i) for i in range(5)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = Driver(thunks, workers=THREADS, requests=800).run()
+    finally:
+        sys.setswitchinterval(previous)
+    assert not run.crashes, run.crashes
+    assert run.accounting_ok() and run.completed == 800
+    assert len(run.outcomes) == len(run.first_samples) == 800
+    for index, (_, _, outcome) in run.outcomes.items():
+        assert outcome == ("ok", repr(index % 5 * 7)), index
 
 
 # -- phase-barrier differential ---------------------------------------------
@@ -527,9 +548,8 @@ def test_churned_plans_rebuild_and_stay_per_key():
     thunks = request_thunks(world)
     for thunk in thunks:
         thunk()
-    driver = ConcurrentDriver(thunks, threads=4, requests=80,
-                              churn=churn_recipe(world),
-                              churn_interval_s=0.002)
+    driver = Driver(thunks, workers=4, requests=80,
+                    churn=churn_recipe(world), churn_interval_s=0.002)
     run = driver.run()
     assert not run.crashes, run.crashes
     stats = world.engine.stats

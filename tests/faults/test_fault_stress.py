@@ -2,16 +2,16 @@
 
 Two properties, each over randomly generated fault scripts:
 
-* **thread mode** (`ConcurrentDriver`): whatever subset of requests
-  completes under kills / errors / hangs / mutator deaths interleaved
-  with churn, every *recorded* outcome equals the deterministic
-  expectation for its schedule index, and the completed count exactly
-  accounts for the lost slices;
-* **supervised fork mode** (`SupervisedDriver`): the accounting
-  invariant partitions the schedule on every script, accepted outcomes
-  are oracle-identical per index, and the supervision loop terminates
-  (a deadlocked supervisor would hang the example and trip the join
-  timeout, failing loudly rather than silently).
+* **thread mode** (`Driver`, thread substrate): whatever subset of
+  requests completes under kills / errors / hangs / mutator deaths
+  interleaved with churn, every *recorded* outcome equals the
+  deterministic expectation for its schedule index, and the completed
+  count exactly accounts for the lost slices;
+* **supervised fork mode** (`Driver`, fork substrate with retries):
+  the accounting invariant partitions the schedule on every script,
+  accepted outcomes are oracle-identical per index, and the supervision
+  loop terminates (a deadlocked supervisor would hang the example and
+  trip the join timeout, failing loudly rather than silently).
 
 Sizes are deliberately tiny — the value is in the script diversity, not
 the volume.
@@ -20,7 +20,7 @@ the volume.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.concurrency import ConcurrentDriver, SupervisedDriver
+from repro.concurrency import Driver
 from repro.faults import CHURN_DIE, ERROR, HANG, KILL, Fault, FaultPlan
 
 THREADS = 3
@@ -78,13 +78,12 @@ def test_thread_mode_completed_outcomes_match_oracle(script, churn_script):
         churn_steps["applied"] += 1
 
     plan = FaultPlan(script + churn_script)
-    driver = ConcurrentDriver(_thunks(), threads=THREADS,
-                              requests=REQUESTS, churn=churn,
-                              churn_interval_s=0.0005, faults=plan)
+    driver = Driver(_thunks(), workers=THREADS, requests=REQUESTS,
+                    churn=churn, churn_interval_s=0.0005, faults=plan)
     run = driver.run()
     # Every recorded outcome is the deterministic one for its index —
     # faults may shrink the completed set but never corrupt it.
-    for _, sched_idx, outcome in run.outcomes:
+    for sched_idx, (_, _, outcome) in run.outcomes.items():
         assert outcome == _expected(sched_idx), sched_idx
     assert len(run.outcomes) == run.completed <= REQUESTS
     # Lost requests are exactly the crashed workers' unfinished tails.
@@ -101,8 +100,9 @@ def test_thread_mode_completed_outcomes_match_oracle(script, churn_script):
           suppress_health_check=[HealthCheck.too_slow])
 def test_supervised_mode_accounting_and_oracle_identity(script):
     plan = FaultPlan(script)
-    driver = SupervisedDriver(
-        _thunks(), workers=THREADS, requests=REQUESTS, faults=plan,
+    driver = Driver(
+        _thunks(), workers=THREADS, requests=REQUESTS, substrate="fork",
+        faults=plan,
         max_retries=2, backoff_base_s=0.005, backoff_cap_s=0.02,
         hang_timeout_s=1.0)
     run = driver.run()  # termination IS part of the property

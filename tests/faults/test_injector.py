@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.concurrency import ConcurrentDriver
+from repro.concurrency import Driver
 from repro.faults import (
     CHURN_DIE, ERROR, FAULT_KINDS, HANG, KILL, Fault, FaultPlan,
     InjectedFaultError, corrupt_file, generate_fault_plan, truncate_file,
@@ -110,24 +110,23 @@ def _thunks(n=5):
 @pytest.mark.requires_threads
 def test_thread_kill_loses_slice_and_is_reported():
     plan = FaultPlan([Fault(KILL, 1, 3)])
-    driver = ConcurrentDriver(_thunks(), threads=4, requests=80,
-                              faults=plan)
+    driver = Driver(_thunks(), workers=4, requests=80, faults=plan)
     run = driver.run()
     assert len(run.crashes) == 1 and "worker 1" in run.crashes[0]
     # Worker 1 completed 3 of its 20 before the kill; the rest is lost
     # and *visible* as completed < requests, never silently absorbed.
     assert run.completed == 80 - 20 + 3
     # The injected fault never shows up as a request outcome.
-    assert all(outcome[0] == "ok" for _, _, outcome in run.outcomes)
+    assert all(outcome[0] == "ok" for _, _, outcome in run.outcomes.values())
 
 
 @pytest.mark.requires_threads
 def test_fault_free_plan_changes_nothing():
-    driver = ConcurrentDriver(_thunks(), threads=4, requests=80,
-                              faults=FaultPlan())
+    driver = Driver(_thunks(), workers=4, requests=80,
+                    faults=FaultPlan())
     run = driver.run()
     assert not run.crashes and run.completed == 80
-    baseline = ConcurrentDriver(_thunks(), threads=4, requests=80).run()
+    baseline = Driver(_thunks(), workers=4, requests=80).run()
     assert run.outcome_multiset() == baseline.outcome_multiset()
 
 
@@ -141,9 +140,9 @@ def test_churn_death_kills_mutator_but_requests_survive():
     plan = FaultPlan([Fault(CHURN_DIE, 0, 2)])
     # io_wait keeps the run alive long enough for the mutator to reach
     # its scripted death step.
-    driver = ConcurrentDriver(_thunks(), threads=4, requests=80,
-                              io_wait_s=0.005, churn=churn,
-                              churn_interval_s=0.0001, faults=plan)
+    driver = Driver(_thunks(), workers=4, requests=80,
+                    io_wait_s=0.005, churn=churn,
+                    churn_interval_s=0.0001, faults=plan)
     run = driver.run()
     assert any("churn step 2" in crash for crash in run.crashes)
     assert run.completed == 80          # requests keep serving

@@ -16,11 +16,11 @@ The contract under test (see ``docs/robustness.md``):
 
 import pytest
 
-from repro.concurrency import SupervisedDriver
+from repro.concurrency import Driver
 from repro.faults import (
     ERROR, HANG, KILL, Fault, FaultPlan, generate_fault_plan,
 )
-from repro.serving import SupervisedScenario, run_supervised_scenario
+from repro.serving import Scenario, run_scenario
 
 pytestmark = pytest.mark.requires_fork
 
@@ -35,10 +35,11 @@ def _thunks(n=7):
 
 
 def _driver(faults=None, **overrides):
-    kw = dict(workers=WORKERS, requests=REQUESTS, faults=faults,
-              backoff_base_s=0.01, backoff_cap_s=0.05)
+    kw = dict(workers=WORKERS, requests=REQUESTS, substrate="fork",
+              faults=faults, max_retries=2, backoff_base_s=0.01,
+              backoff_cap_s=0.05)
     kw.update(overrides)
-    return SupervisedDriver(_thunks(), **kw)
+    return Driver(_thunks(), **kw)
 
 
 def _assert_full_oracle_identity(run, thunks):
@@ -103,6 +104,37 @@ def test_kill_on_retry_attempt_recovers_again():
     assert run.restarts == 2
 
 
+#: characters in the large outcome: its repr is over 1 MiB, far past a
+#: pipe's buffer, so the send takes many round trips to drain.
+BIG_OUTCOME = 1 << 20
+
+
+def _big_thunks():
+    def mk(i):
+        if i == 2:
+            return lambda: "x" * BIG_OUTCOME
+        return lambda: i * 3
+    return [mk(i) for i in range(6)]
+
+
+def test_kill_while_large_outcome_is_in_flight():
+    """Regression: worker 0 reports a >= 1 MiB outcome (ordinal 2) and
+    is killed at the next request boundary after a 5 ms pause — long
+    enough for a background sender to be mid-write.  With one result
+    queue shared by every worker, the dead process kept the queue's
+    cross-process write lock, and every sibling and respawn blocked on
+    it; with one single-writer pipe per attempt only the dead attempt's
+    pipe can tear."""
+    thunks = _big_thunks()
+    plan = FaultPlan([Fault(KILL, 0, 3, delay_s=0.005)])
+    run = Driver(thunks, workers=WORKERS, requests=REQUESTS,
+                 substrate="fork", faults=plan, max_retries=2,
+                 backoff_base_s=0.01, backoff_cap_s=0.05).run()
+    _assert_full_oracle_identity(run, thunks)
+    assert run.restarts == 1
+    assert run.completed_retried >= 1
+
+
 # -- budget exhaustion -------------------------------------------------------
 
 
@@ -142,30 +174,30 @@ def test_accounting_identity_holds_on_every_path():
 
 
 def _scenario(**overrides):
-    kw = dict(app="boxroom", mix="read", workers=2, requests=40,
-              io_wait_s=0.0, warm_rounds=2, specialize_threshold=4,
-              backoff_base_s=0.01)
+    kw = dict(app="boxroom", mix="read", substrate="fork", workers=2,
+              requests=40, io_wait_s=0.0, warm_rounds=2,
+              specialize_threshold=4, max_retries=2, backoff_base_s=0.01)
     kw.update(overrides)
-    return SupervisedScenario("recovery-test", **kw)
+    return Scenario("recovery-test", **kw)
 
 
 def test_scenario_recovers_and_counts(tmp_path):
     plan = FaultPlan([Fault(KILL, 0, 3), Fault(KILL, 1, 9)])
-    report = run_supervised_scenario(_scenario(), faults=plan)
+    report = run_scenario(_scenario(), faults=plan)
     assert report.accounting_ok
     assert report.oracle_match_cache_free
     assert report.completed == 40 and report.abandoned == 0
     assert report.workers_restarted == report.restarts == 2
     assert report.requests_replayed == report.completed_retried >= 2
-    assert report.latency["replayed"] is not None
-    assert report.latency["combined"]["count"] == 40
+    assert report.replay_latency is not None
+    assert report.latency.count == 40
 
 
 def test_scenario_fault_free_reports_no_recovery():
-    report = run_supervised_scenario(_scenario())
+    report = run_scenario(_scenario())
     assert report.accounting_ok and report.oracle_match_cache_free
     assert report.restarts == 0 and report.requests_replayed == 0
-    assert report.latency["replayed"] is None
+    assert report.replay_latency is None
 
 
 @pytest.mark.requires_caches
@@ -174,7 +206,7 @@ def test_respawn_inherits_warm_state_from_parent():
     stats delta must not re-pay the parent's static checks (the
     cold-start work the warm rounds already did)."""
     plan = FaultPlan([Fault(KILL, 0, 0)])
-    report = run_supervised_scenario(
+    report = run_scenario(
         _scenario(warm_rounds=6, mix="read"), faults=plan)
     assert report.accounting_ok and report.oracle_match_cache_free
     assert report.restarts == 1

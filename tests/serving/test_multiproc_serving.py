@@ -6,8 +6,8 @@ unpicklable, so ``fork`` inheritance is the transport).  These tests
 pin down the contract end to end:
 
 * every worker completes its round-robin schedule slice and ships its
-  outcomes, latency reservoir, and stats delta back over the queue;
-* merged reservoirs yield *exact* aggregate percentiles when nothing
+  outcomes, latencies, and stats delta back over its pipe;
+* merged latencies yield *exact* aggregate percentiles when nothing
   overflowed (sample count == completed requests);
 * each worker's outcome multiset equals a cache-free oracle replay of
   that worker's exact schedule indices — the differential soundness
@@ -18,11 +18,10 @@ pin down the contract end to end:
 
 import pytest
 
-from repro.concurrency import MultiProcessDriver, fork_available
+from repro.concurrency import Driver, fork_available
 from repro.core import Engine, EngineConfig
 from repro.serving import (
-    MultiProcScenario, build_serving_world, run_multiproc_scenario,
-    scenario_thunks,
+    Scenario, build_serving_world, run_scenario, scenario_thunks,
 )
 from repro.snapshot import save_snapshot
 
@@ -35,10 +34,10 @@ THRESHOLD = 6
 
 def _small_scenario(**overrides):
     base = dict(name="test_run", app="countries", mix="read",
-                workers=WORKERS, requests=REQUESTS, io_wait_s=0.0,
-                warm_rounds=1)
+                substrate="fork", workers=WORKERS, requests=REQUESTS,
+                io_wait_s=0.0, warm_rounds=1)
     base.update(overrides)
-    return MultiProcScenario(**base)
+    return Scenario(**base)
 
 
 def test_fork_available_matches_marker():
@@ -47,10 +46,10 @@ def test_fork_available_matches_marker():
 
 
 def test_all_workers_complete_and_report():
-    report = run_multiproc_scenario(_small_scenario())
+    report = run_scenario(_small_scenario())
     assert not report.crashes, report.crashes
     assert report.completed == REQUESTS
-    assert report.lost == 0
+    assert report.abandoned == 0
     assert report.errors == 0
     assert report.workers == WORKERS
     assert len(report.per_worker) == WORKERS
@@ -61,22 +60,21 @@ def test_all_workers_complete_and_report():
 def test_crashed_worker_slice_is_counted_lost_not_vanished():
     """Regression: a killed worker's unfinished slice used to vanish
     from the report entirely (completed just came up short, with
-    nothing accounting for the difference).  The ``lost`` field must
-    make it explicit, and the identity completed + lost == requests
+    nothing accounting for the difference).  The ``abandoned`` count
+    must make it explicit, and completed + abandoned == requests
     must survive the crash."""
     from repro.faults import KILL, Fault, FaultPlan
 
     world = build_serving_world("countries")
     thunks = scenario_thunks(world, "read")
     plan = FaultPlan([Fault(KILL, 1, 0)])  # worker 1 dies immediately
-    driver = MultiProcessDriver(thunks, workers=WORKERS,
-                                requests=REQUESTS, engine=world.engine,
-                                faults=plan)
+    driver = Driver(thunks, workers=WORKERS, requests=REQUESTS,
+                    substrate="fork", engine=world.engine, faults=plan)
     run = driver.run()
-    slice_sizes = [len(driver.schedule_for(w)) for w in range(WORKERS)]
+    slice_sizes = [len(driver.schedule_indices(w)) for w in range(WORKERS)]
     assert run.crashes and any("worker 1" in c for c in run.crashes)
-    assert run.lost == slice_sizes[1]
-    assert run.completed + run.lost == REQUESTS
+    assert run.abandoned == slice_sizes[1]
+    assert run.completed + run.abandoned == REQUESTS
     # Exit code 87 (the injected kill) is diagnosed, not swallowed.
     assert any("exit code 87" in c for c in run.crashes)
 
@@ -86,15 +84,15 @@ def test_schedule_partition_is_exhaustive_and_disjoint():
     worker — the property the per-worker oracle replay leans on."""
     world = build_serving_world("countries")
     thunks = scenario_thunks(world, "read")
-    driver = MultiProcessDriver(thunks, workers=3, requests=40,
-                                engine=world.engine)
+    driver = Driver(thunks, workers=3, requests=40, substrate="fork",
+                    engine=world.engine)
     slices = [driver.schedule_indices(w) for w in range(3)]
     flat = [i for s in slices for i in s]
     assert sorted(flat) == list(range(40))
 
 
 def test_merged_latency_is_exact_when_nothing_overflowed():
-    report = run_multiproc_scenario(_small_scenario())
+    report = run_scenario(_small_scenario())
     assert report.latency.exact
     assert report.latency.count == REQUESTS
     assert report.latency.sampled == REQUESTS
@@ -104,7 +102,7 @@ def test_merged_latency_is_exact_when_nothing_overflowed():
 def test_per_worker_outcomes_match_cache_free_oracle():
     """The acceptance bar: every forked worker's outcome multiset is
     identical to a cache-free oracle replaying its schedule slice."""
-    report = run_multiproc_scenario(_small_scenario())
+    report = run_scenario(_small_scenario())
     assert report.worker_oracle_matches == [True] * WORKERS
     assert report.oracle_match_cache_free
 
@@ -112,14 +110,14 @@ def test_per_worker_outcomes_match_cache_free_oracle():
 def test_write_mix_stays_oracle_identical():
     """Write traffic mutates per-process app state; each fork starts
     from the same COW image, so the oracle replay still matches."""
-    report = run_multiproc_scenario(_small_scenario(
+    report = run_scenario(_small_scenario(
         name="write_run", mix="write", warm_rounds=0))
     assert not report.crashes, report.crashes
     assert report.oracle_match_cache_free
 
 
 def test_report_as_dict_shape():
-    report = run_multiproc_scenario(_small_scenario())
+    report = run_scenario(_small_scenario())
     doc = report.as_dict()
     for key in ("app", "mix", "workers", "requests", "completed", "rps",
                 "errors", "crashes", "first_pass_ms", "transitions",
@@ -150,7 +148,7 @@ def test_warm_fleet_pays_less_than_cold_fleet(tmp_path):
     save_snapshot(engine, str(path))
 
     def fleet(name, snapshot):
-        return run_multiproc_scenario(_small_scenario(
+        return run_scenario(_small_scenario(
             name=name, warm_rounds=0, snapshot=snapshot,
             specialize_threshold=THRESHOLD))
 
@@ -184,7 +182,7 @@ def test_stale_snapshot_falls_back_to_cold_start(tmp_path):
     blob = path.read_text()
     path.write_text(blob[:len(blob) // 2])  # truncate in transit
 
-    report = run_multiproc_scenario(_small_scenario(
+    report = run_scenario(_small_scenario(
         name="stale", warm_rounds=0, snapshot=str(path),
         specialize_threshold=THRESHOLD))
     assert not report.crashes, report.crashes

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import Engine
 from repro.serving import (
-    ServingScenario, build_serving_world, run_scenario, scenario_thunks,
+    Scenario, build_serving_world, run_scenario, scenario_thunks,
 )
 
 APPS = ["boxroom", "countries", "rolify"]
@@ -65,8 +65,8 @@ def test_sequential_outcomes_match_cache_free_oracle(app, mix):
 @pytest.mark.parametrize("app", APPS)
 @pytest.mark.parametrize("mix", MIXES)
 def test_threaded_scenario_matches_both_oracles(app, mix):
-    report = run_scenario(ServingScenario(
-        name=f"test-{app}-{mix}", app=app, mix=mix, threads=4,
+    report = run_scenario(Scenario(
+        name=f"test-{app}-{mix}", app=app, mix=mix, workers=4,
         requests=64, io_wait_s=0.0, warm_rounds=2, cfg=_cfg(app),
     ))
     assert report.crashes == []
@@ -87,8 +87,8 @@ def test_write_heavy_under_full_churn_is_oracle_identical(app):
     threads while reloader / typegen / retype mutators run from
     dedicated threads still reproduces the cache-free oracle's multiset
     exactly, with zero request errors."""
-    report = run_scenario(ServingScenario(
-        name=f"test-{app}-write-churn", app=app, mix="write", threads=4,
+    report = run_scenario(Scenario(
+        name=f"test-{app}-write-churn", app=app, mix="write", workers=4,
         requests=80, io_wait_s=0.001, churn="full",
         churn_interval_s=0.002, warm_rounds=2, cfg=_cfg(app),
     ))
@@ -101,9 +101,9 @@ def test_write_heavy_under_full_churn_is_oracle_identical(app):
 
 @pytest.mark.requires_threads
 def test_countries_mixed_under_retype_churn():
-    report = run_scenario(ServingScenario(
+    report = run_scenario(Scenario(
         name="test-countries-churn", app="countries", mix="mixed",
-        threads=4, requests=64, io_wait_s=0.001, churn="retype",
+        workers=4, requests=64, io_wait_s=0.001, churn="retype",
         churn_interval_s=0.002, warm_rounds=2,
     ))
     assert report.crashes == []
@@ -120,8 +120,8 @@ def test_countries_mixed_under_retype_churn():
 def test_request_accounting_is_exact():
     """Bookkeeping must be exact, not approximate: every scheduled
     request completes exactly once and is timed exactly once."""
-    scenario = ServingScenario(
-        name="test-accounting", app="boxroom", mix="mixed", threads=4,
+    scenario = Scenario(
+        name="test-accounting", app="boxroom", mix="mixed", workers=4,
         requests=64, io_wait_s=0.0, warm_rounds=1, cfg=CFG)
     report = run_scenario(scenario)
     assert report.completed == scenario.requests
