@@ -21,6 +21,22 @@ typing judgment ``TT |- <Gamma, e> => <Gamma', tau>``:
 
 The outcome records every signature and field type consulted, which the
 cache stores as the entry's dependency set (Definition 1, part 2).
+
+The same walk also yields tier 3's frame verdict (:mod:`repro.core.elide`).
+The checked-frame push/pop around a call exists so intercepted callees
+can see whether their caller was checked; a body that can never re-enter
+intercepted code does not need it.  The walk records a *frame blocker*
+at the first point where the body might re-enter:
+
+* a bare call, a call on self, or a call through a local proc;
+* a call whose receiver or argument type is not frame-safe;
+* a truthiness test, string interpolation or ``for`` iteration over a
+  type that is not frame-safe;
+* an ivar access that meets a host property or an attribute hook.
+
+A type is frame-safe when every class it can hold is on
+:data:`FRAME_SAFE_CLASSES` and is not a registered application class.
+``%any``, class objects, procs and application nominals never are.
 """
 
 from __future__ import annotations
@@ -39,12 +55,31 @@ from ..rtypes import (
     array_of, instantiate_for_receiver, is_subtype, join, join_all,
     parse_type, substitute, union_of,
 )
+from .deps import Resource, field_resource
 from .errors import StaticTypeError, TypeSignatureError
 
 Env = Dict[str, Type]
 Key = Tuple[str, str]
+#: a frame blocker: (code, human-readable detail).
+Blocker = Tuple[str, str]
 
 _MAX_LOOP_PASSES = 10
+
+#: Builtin classes whose methods are trusted not to re-enter intercepted
+#: code: they run in the host runtime.  A call keeps frame elision only
+#: when its receiver and every argument are of these classes, because a
+#: builtin operator with an application-class argument can dispatch to
+#: the argument's reflected dunder (``1 + obj`` runs ``obj.__radd__``).
+FRAME_SAFE_CLASSES = frozenset({
+    "Integer", "Float", "Boolean", "String", "Symbol", "Array", "Hash",
+    "Set", "Range", "NilClass", "Time",
+})
+
+#: frame blocker codes.
+BLOCK_WHITELIST = "whitelist_miss"  # a value that is not frame-safe
+BLOCK_OPAQUE = "opaque_code"        # an ivar access that runs host code
+
+_HOOKS = ("__getattr__", "__getattribute__", "__setattr__")
 
 
 @dataclass
@@ -55,6 +90,12 @@ class CheckOutcome:
     field_deps: Set[Key] = dc_field(default_factory=set)
     used_generated: Set[Key] = dc_field(default_factory=set)
     cast_sites: Set[Tuple[str, str, int]] = dc_field(default_factory=set)
+    #: the first point where the body might re-enter intercepted code
+    #: (see module doc); empty when the frame is elidable.
+    blockers: List[Blocker] = dc_field(default_factory=list)
+    #: every signature slot and field slot the walk probed, negative
+    #: probes included, as :mod:`repro.core.deps` resources.
+    trace: List[Resource] = dc_field(default_factory=list)
 
 
 class Checker:
@@ -66,14 +107,20 @@ class Checker:
     # -- entry point ---------------------------------------------------------
 
     def check_method(self, mir: MethodIR, arms: List[MethodType],
-                     self_type: Type) -> CheckOutcome:
+                     self_type: Type,
+                     param_types: Optional[Dict[str, Type]] = None
+                     ) -> CheckOutcome:
         """Check ``mir``'s body against every signature arm.
 
+        ``param_types`` overrides the declared types of the named
+        parameters (tier 3 types the ones no guard pins as ``%any``).
         Raises :class:`StaticTypeError` on the first violation.
         """
         run = _Run(self.engine, mir)
         for arm in arms:
             env = run.initial_env(arm, self_type)
+            if param_types:
+                env.update(param_types)
             run.expected_ret = arm.ret
             body_t, out_env = run.visit(mir.body, env)
             if not _always_returns(mir.body):
@@ -97,6 +144,10 @@ class _Run:
         self.narrowing = engine.config.narrowing
         self.outcome = CheckOutcome()
         self.expected_ret: Type = ANY
+        #: per enclosing ``try`` statement: the join of every type its
+        #: body, handlers and ``else`` assign each name, for the
+        #: environment after an exception (handlers, ``finally``).
+        self.try_writes: List[Env] = []
 
     # -- helpers -------------------------------------------------------------
 
@@ -147,6 +198,60 @@ class _Run:
             env[rest[0].name] = array_of(join_all(
                 pool, self.hier, strict_nil=self.strict_nil))
         return env
+
+    def assign(self, env: Env, name: str, t: Type) -> Env:
+        out = dict(env)
+        out[name] = t
+        for writes in self.try_writes:
+            prev = writes.get(name)
+            writes[name] = t if prev is None else self.join2(prev, t)
+        return out
+
+    # -- frame rules ---------------------------------------------------------
+    # Only the first blocker is recorded: one forfeits the frame, and JIT
+    # checks of application code meet one at almost every call, so each
+    # rule returns early once it is there.
+
+    def block(self, code: str, detail: str) -> None:
+        if not self.outcome.blockers:
+            self.outcome.blockers.append((code, detail))
+
+    def frame_safe(self, t: Type) -> bool:
+        if isinstance(t, UnionType):
+            return all(self.frame_safe(a) for a in t.arms)
+        if isinstance(t, BotType):
+            return True  # no value ever flows here
+        if isinstance(t, ClassObjectType):
+            return False
+        name = _class_name_of(t)
+        return (name in FRAME_SAFE_CLASSES
+                and self.engine.host_class(name) is None)
+
+    def frame_test(self, t: Type, what: str) -> None:
+        """A protocol the host runs on a value (truthiness, formatting,
+        iteration) is opaque unless the value is frame-safe."""
+        if not self.outcome.blockers and not self.frame_safe(t):
+            self.block(BLOCK_WHITELIST, f"{what} on {t}")
+
+    def frame_call(self, recv_t: Type, name: str,
+                   arg_ts: List[Type]) -> None:
+        if self.outcome.blockers:
+            return
+        if not self.frame_safe(recv_t):
+            self.block(BLOCK_WHITELIST, f"{recv_t}.{name}")
+        elif not all(self.frame_safe(t) for t in arg_ts):
+            self.block(BLOCK_WHITELIST, f"argument to .{name}")
+
+    def frame_ivar(self, self_type: Type, name: str) -> None:
+        """Reading or writing ``self.name`` runs code when a class on the
+        host MRO defines ``name`` (a property) or an attribute hook."""
+        if self.outcome.blockers:
+            return
+        pycls = self.engine.host_class(_class_name_of(self_type) or "")
+        if pycls is None or any(
+                name in c.__dict__ or any(h in c.__dict__ for h in _HOOKS)
+                for c in pycls.__mro__ if c is not object):
+            self.block(BLOCK_OPAQUE, f"@{name} access intercepted")
 
     def join_env(self, a: Env, b: Env) -> Env:
         """(TIf)'s environment join: keep variables bound on both sides."""
@@ -228,7 +333,8 @@ class _Run:
         # Interpolation calls to_s, defined on Object: any type is fine.
         for part in node.parts:
             if isinstance(part, ir.Node):
-                _, env = self.visit(part, env)
+                t, env = self.visit(part, env)
+                self.frame_test(t, "str interpolation")
         return NominalType("String"), env
 
     # -- names ---------------------------------------------------------------
@@ -242,6 +348,7 @@ class _Run:
         # Ruby's bare-name ambiguity: an unbound name is treated as a
         # no-argument method on self — exactly how the paper's Talks
         # errors ("undefined variable old_talk") surface.
+        self.block(BLOCK_WHITELIST, f"bare call {node.name}")
         return self.check_call(node, env, env["self"], node.name, [], None,
                                bare_name=node.name)
 
@@ -251,28 +358,32 @@ class _Run:
         return ClassObjectType(node.name), env
 
     def _visit_IVarRead(self, node, env):
-        ft, owner = self._field_lookup(env["self"], node.name)
+        self_t = env["self"]
+        self.frame_ivar(self_t, node.name)
+        ft, owner = self._field_lookup(self_t, node.name)
         if ft is not None:
             self.outcome.field_deps.add((owner, node.name))
             return ft, env
-        return self.check_call(node, env, env["self"], node.name, [], None)
+        self.frame_call(self_t, node.name, [])
+        return self.check_call(node, env, self_t, node.name, [], None)
 
     def _visit_VarWrite(self, node, env):
         t, env = self.visit(node.value, env)
-        new_env = dict(env)
-        new_env[node.name] = t
-        return t, new_env
+        return t, self.assign(env, node.name, t)
 
     def _visit_IVarWrite(self, node, env):
         vt, env = self.visit(node.value, env)
-        ft, owner = self._field_lookup(env["self"], node.name)
+        self_t = env["self"]
+        self.frame_ivar(self_t, node.name)
+        ft, owner = self._field_lookup(self_t, node.name)
         if ft is not None:
             self.outcome.field_deps.add((owner, node.name))
             if not self.le(vt, ft):
                 self.fail(node, f"cannot assign {vt} to field "
                                 f"{owner}.{node.name} of type {ft}")
             return vt, env
-        t, env = self.check_call(node, env, env["self"], f"{node.name}=",
+        self.frame_call(self_t, f"{node.name}=", [vt])
+        t, env = self.check_call(node, env, self_t, f"{node.name}=",
                                  [vt], None, arg_nodes=[node.value])
         return vt, env
 
@@ -282,6 +393,7 @@ class _Run:
         if cls is None:
             return None, ""
         for ancestor in self._safe_ancestors(cls):
+            self.outcome.trace.append(field_resource(ancestor, name))
             ft = self.types.lookup_field(ancestor, name)
             if ft is not None:
                 return ft, ancestor
@@ -301,7 +413,8 @@ class _Run:
         return t, env
 
     def _visit_If(self, node, env):
-        _, env = self.visit(node.test, env)
+        test_t, env = self.visit(node.test, env)
+        self.frame_test(test_t, "if truthiness test")
         env_true, env_false = self._narrow(node.test, env)
         t1, out1 = self.visit(node.then, env_true)
         t2, out2 = self.visit(node.orelse, env_false)
@@ -309,7 +422,8 @@ class _Run:
 
     def _visit_While(self, node, env):
         def bind(e: Env) -> Env:
-            _, after_test = self.visit(node.test, e)
+            test_t, after_test = self.visit(node.test, e)
+            self.frame_test(test_t, "while truthiness test")
             true_env, _ = self._narrow(node.test, after_test)
             return true_env
 
@@ -319,25 +433,30 @@ class _Run:
 
     def _visit_ForEach(self, node, env):
         it_t, env = self.visit(node.iterable, env)
+        self.frame_test(it_t, "for iteration")
         elem = self._element_type(node, it_t)
 
         def bind(e: Env) -> Env:
-            out = dict(e)
-            out[node.var] = elem
-            return out
+            return self.assign(e, node.var, elem)
 
         stable = self._loop_fixpoint(bind, node.body, env)
         return it_t, stable
 
     def _loop_fixpoint(self, bind, body, env: Env) -> Env:
         current = env
+        unstable: List[str] = []
         for _ in range(_MAX_LOOP_PASSES):
             _, out = self.visit(body, bind(current))
             merged = self.join_env(current, out)
             if merged == current:
                 return current
+            unstable = sorted(n for n in current
+                              if merged.get(n) != current[n])
             current = merged
-        return current
+        # Fail closed: an environment that is still changing is not a
+        # loop invariant, so nothing checked under it is sound.
+        self.fail(body, f"loop types did not stabilize within "
+                        f"{_MAX_LOOP_PASSES} passes: {', '.join(unstable)}")
 
     def _element_type(self, node, t: Type) -> Type:
         if isinstance(t, AnyType):
@@ -383,15 +502,22 @@ class _Run:
         return BOT, env
 
     def _visit_Try(self, node, env):
+        writes: Env = {}
+        self.try_writes.append(writes)
         body_t, body_env = self.visit(node.body, env)
+        # The body may raise after any of its assignments, so a handler
+        # sees each name at its pre-try type joined with every type the
+        # body assigned it.
+        raised_env = self._after_raise(env, writes)
         branch_ts = [body_t]
         branch_envs = [body_env]
         for handler in node.handlers:
-            h_env = dict(env)
+            h_env = raised_env
             if handler.var is not None:
-                h_env[handler.var] = (NominalType(handler.class_name)
-                                      if handler.class_name else
-                                      NominalType("StandardError"))
+                h_env = self.assign(h_env, handler.var,
+                                    NominalType(handler.class_name)
+                                    if handler.class_name else
+                                    NominalType("StandardError"))
             t, out = self.visit(handler.body, h_env)
             branch_ts.append(t)
             branch_envs.append(out)
@@ -399,13 +525,24 @@ class _Run:
             t, out = self.visit(node.orelse, body_env)
             branch_ts.append(t)
             branch_envs.append(out)
+        self.try_writes.pop()
         merged_env = branch_envs[0]
         for other in branch_envs[1:]:
             merged_env = self.join_env(merged_env, other)
         result = join_all(branch_ts, self.hier, strict_nil=self.strict_nil)
         if node.final is not None:
+            # The finally block also runs when an exception escapes the
+            # body or a handler: check it once under that environment,
+            # then again for the normal path's post-state.
+            escaped = {name: self.join2(t, env[name]) if name in env else t
+                       for name, t in merged_env.items()}
+            self.visit(node.final, self._after_raise(escaped, writes))
             _, merged_env = self.visit(node.final, merged_env)
         return result, merged_env
+
+    def _after_raise(self, env: Env, writes: Env) -> Env:
+        return {name: self.join2(t, writes[name]) if name in writes else t
+                for name, t in env.items()}
 
     # -- boolean forms -----------------------------------------------------------
 
@@ -414,6 +551,8 @@ class _Run:
         for i, part in enumerate(node.parts):
             t, env = self.visit(part, env)
             parts.append(t)
+            if i < len(node.parts) - 1:
+                self.frame_test(t, "boolop truthiness test")
             if self.narrowing and node.op == "and" and i < len(node.parts) - 1:
                 env, _ = self._narrow(part, env)
         if node.op == "or":
@@ -424,7 +563,8 @@ class _Run:
         return join_all(parts, self.hier, strict_nil=self.strict_nil), env
 
     def _visit_Not(self, node, env):
-        _, env = self.visit(node.value, env)
+        t, env = self.visit(node.value, env)
+        self.frame_test(t, "not truthiness test")
         return BOOL, env
 
     def _visit_IsNil(self, node, env):
@@ -490,6 +630,7 @@ class _Run:
     def _visit_Call(self, node, env):
         # Bare call: local Proc/block first, then implicit self.
         if node.recv is None:
+            self.block(BLOCK_WHITELIST, f"bare call {node.name}")
             bound = env.get(node.name)
             if bound is not None:
                 return self._call_proc(node, env, bound)
@@ -500,6 +641,7 @@ class _Run:
                                    bare_name=node.name)
         recv_t, env = self.visit(node.recv, env)
         arg_ts, env = self._visit_args(node.args, env)
+        self.frame_call(recv_t, node.name, arg_ts)
         return self.check_call(node, env, recv_t, node.name, arg_ts,
                                node.block, arg_nodes=list(node.args))
 
@@ -577,7 +719,8 @@ class _Run:
         if cls is None:
             self.fail(node, f"cannot call {name!r} on a value of type "
                             f"{recv_t}")
-        found = self.engine.resolve_sig(cls, name, kind)
+        found = self.engine.resolve_sig(cls, name, kind,
+                                        trace=self.outcome.trace)
         if found is None and kind == "class" and name == "new":
             return self._default_new(node, env, recv_t, arg_ts)
         if found is None:
@@ -636,7 +779,8 @@ class _Run:
         """``A.new`` with no explicit signature: check the constructor's
         declared type if one exists, else accept as in the formalism's
         (TNew)."""
-        init = self.engine.resolve_sig(recv_t.name, "initialize", "instance")
+        init = self.engine.resolve_sig(recv_t.name, "initialize", "instance",
+                                       trace=self.outcome.trace)
         if init is not None:
             owner, sig = init
             self.outcome.deps.add((recv_t.name, "initialize"))

@@ -31,10 +31,10 @@ Resource taxonomy (plain tuples, so they hash fast and print readably):
     an instance/class field type read by a checked derivation.
 
 ``("ir", owner, name)``
-    the lowered body of ``owner#name``, as consulted by the tier-3
-    elision analysis (:mod:`repro.ril.analysis`).  Redefining the method
-    fires this edge even when the signature slot is untouched — a return
-    fact derived from the *old* body must not outlive it.
+    the lowered body of ``owner#name``, as walked by a tier-3 frame
+    proof (:mod:`repro.core.elide`).  Redefining the method fires this
+    edge even when the signature slot is untouched — a frame verdict
+    derived from the *old* body must not outlive it.
 
 Users: the engine's :class:`~repro.core.plans.CallPlanCache` (per-plan
 resolution dependencies), the :class:`~repro.core.cache.CheckCache`

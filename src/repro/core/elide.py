@@ -1,14 +1,13 @@
-"""Tier-3 glue: decide which compiled-in checks a promoted site can drop.
+"""Tier 3: decide which compiled-in checks a promoted site can drop.
 
 Tier 2 compiles a warm call plan into a straight-line wrapper that still
-*performs* every per-call safety operation — the check-cache membership
-probe, the argument-profile guard, the checked-frame push/pop, the
-dynamic return check.  Tier 3 runs the RIL forward dataflow pass
-(:mod:`repro.ril.analysis`) at promotion time and statically discharges
-the operations it proves redundant, so the wrapper *omits* them.
+*performs* every per-call safety operation: the check-cache membership
+probe, the argument-profile guard and the checked-frame push/pop.
+Tier 3 statically discharges the operations it proves redundant at
+promotion time, so the wrapper *omits* them.
 
 Per compiled entry the :class:`Elider` produces an :class:`Elision`
-verdict with four independent switches:
+verdict with three independent switches:
 
 ``cache_guard``
     The wrapper's ``key in cache`` membership probe re-validates the
@@ -31,56 +30,63 @@ verdict with four independent switches:
 
 ``frame``
     The checked-frame push/pop exists so intercepted *callees* can see
-    whether their caller's body was statically checked.  A body the
-    analysis proves can never re-enter intercepted code has no reader —
-    the frame is dead and the ``try/finally`` around the call is
-    dropped ("check once per call" becomes "check zero times").
+    whether their caller's body was statically checked.  A body that
+    can never re-enter intercepted code has no reader — the frame is
+    dead and the ``try/finally`` around the call is dropped.  The proof
+    is the JIT checker's own walk (:mod:`repro.core.checker` records
+    where a body might re-enter), run by :func:`prove_frame` with every
+    parameter no guard pins typed ``%any``: declared parameter types
+    are not enforced on every call, so only a guard makes them facts.
 
-``ret_check``
-    When every return-class the body can produce conforms to the
-    signature's return type, the dynamic return check (or return
-    profile guard) is dead.
+A frame verdict may hold only *under a pinned profile* (the body is
+safe when ``n`` is an Integer, not for arbitrary ``n``).  Then the
+verdict carries ``guard_profiles``: up to :data:`TOP_K_PROFILES` learned
+class chains, each independently re-proving the frame, compiled as an
+**unconditional** OR-of-chains guard — no copy-on-write fallback set, a
+miss on every chain bails to the generic path — so the pinned facts
+hold on every call that runs the elided body.  A chain slot may be
+``None`` (no pin for that position): the layout pseudo-profile pins
+only the slots a stable kwargs layout binds to declared defaults, and
+then ``chain_conforms`` is False — the chain pins classes for the proof
+but does not certify argument *conformance*, so the wrapper keeps its
+profile membership test.  A verdict that already holds seed-free needs
+no pin and keeps serving every learned profile.
 
-Frame and return verdicts may hold only *under a seeded profile* (the
-body is safe when ``n`` is an Integer, not for arbitrary ``n``).  Then
-the verdict carries ``guard_profiles``: up to :data:`TOP_K_PROFILES`
-learned class chains, each independently re-proving every seeded
-verdict, compiled as an **unconditional** OR-of-chains guard — no
-copy-on-write fallback set, a miss on every chain bails to the generic
-path — so the seeded facts hold on every call that runs the elided
-body.  A chain slot may be ``None`` (no pin for that position): the
-layout pseudo-profile pins only the slots a stable kwargs layout binds
-to declared defaults, and then ``chain_conforms`` is False — the chain
-seeds the dataflow but does not certify argument *conformance*, so the
-wrapper keeps its profile membership test.  A verdict that already
-holds seed-free needs no pin and keeps serving every learned profile.
-
-Soundness: every fact a verdict read (signature slots with negative
-probes, linearizations — including the ``("lin", cls)`` leaf-exactness
-edges — field types, callee bodies as ``("ir", ...)`` edges along the
-whole followed chain) is merged into the site's plan-dependency edges
-**before** the wrapper is installed (:meth:`CallPlanCache.add_resources`),
-so mutating any of them deopts the elided site exactly like a tier-2
-plan.  The ``REPRO_DISABLE_ELIDE=1`` escape hatch (and
-``EngineConfig.elide``) turns the stage off, leaving tier 2 untouched.
+Soundness: every fact a verdict read — the checker run's signature
+slots with negative probes, field slots, linearizations, and the site's
+own ``("ir", owner, name)`` body edge — is merged into the site's
+plan-dependency edges **before** the wrapper is installed
+(:meth:`CallPlanCache.add_resources`), so mutating any of them deopts
+the elided site exactly like a tier-2 plan.  The
+``REPRO_DISABLE_ELIDE=1`` escape hatch (and ``EngineConfig.elide``)
+turns the stage off, leaving tier 2 untouched.
 
 Every decision — elided or refused — is also explainable:
 :meth:`Elider.audit_site` re-derives the verdict for a warm site and
 returns a :class:`SiteAudit` naming, per check-op kind, whether it was
 proved (seed-free or pinned), inapplicable, or blocked, and on what
-(``unknown_join``, ``non_leaf_nominal``, ``budget_exhausted``,
-``whitelist_miss``, ...).  ``python -m repro.ril.audit`` aggregates
-these over every promoted site.
+(``whitelist_miss``, ``opaque_code``, ``type_error``, ``no_ir``,
+``contract``).  ``python -m repro.ril.audit`` aggregates these over
+every promoted site.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..rdl.registry import INSTANCE
-from ..ril.registry import RegistrationError
+from ..ril.registry import MethodIR, RegistrationError
+from ..rtypes import (
+    ANY, BOOL, NIL, AnyType, IntersectionType, MethodType, NominalType,
+    SelfType, Type, UnionType, VarType, VarargParam, array_of,
+)
+from ..rtypes.typeof import rdl_class_name
+from .checker import Blocker
 from .deps import Resource, ir_resource, lin_resource
+from .errors import StaticTypeError, TypeSignatureError
 from .plans import ARG_CHECK_NEVER, CallPlan, PlanKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,9 +97,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: survive when they re-prove everything the first one proved.
 TOP_K_PROFILES = 3
 
-#: the four per-call check operations a verdict rules on, in report
-#: order.
-CHECK_KINDS = ("cache_guard", "arg_check", "frame", "ret_check")
+#: the per-call check operations a verdict rules on, in report order.
+CHECK_KINDS = ("cache_guard", "arg_check", "frame")
 
 #: audit statuses.
 PROVED = "proved"              # elidable with no profile pin
@@ -101,9 +106,13 @@ PROVED_PINNED = "proved_pinned"  # elidable under the pinned chain(s)
 NOT_APPLICABLE = "not_applicable"  # the check never runs at this site
 BLOCKED = "blocked"            # provability failed; reasons attached
 
-#: blocker code for sites a registered contract pins to the generic
-#: wrapper (the analysis-level codes live in :mod:`repro.ril.analysis`).
+#: blocker codes beside the checker's frame codes (``whitelist_miss``,
+#: ``opaque_code``): a registered contract pins the site to the generic
+#: wrapper; the checker rejected the body under tier 3's parameter
+#: types; no lowered body exists.
 BLOCK_CONTRACT = "contract"
+BLOCK_TYPE_ERROR = "type_error"
+BLOCK_NO_IR = "no_ir"
 
 
 def elide_disabled_by_env() -> bool:
@@ -112,40 +121,99 @@ def elide_disabled_by_env() -> bool:
         "", "0", "false", "no")
 
 
+def is_vacuous(t: Type) -> bool:
+    """True when ``value_conforms(v, t, ...)`` holds for *every* value.
+
+    ``SelfType`` is vacuous because the dynamic check resolves it to
+    True unconditionally (``value_conforms``'s Self rule).
+    """
+    if isinstance(t, (AnyType, VarType, SelfType)):
+        return True
+    if isinstance(t, UnionType):
+        return any(is_vacuous(a) for a in t.arms)
+    if isinstance(t, IntersectionType):
+        return all(is_vacuous(a) for a in t.arms)
+    return False
+
+
+class FrameProof(NamedTuple):
+    """One checker run's frame verdict: ``frame_elidable`` when the walk
+    met no blocker, the ``resources`` it read, and its ``blockers``."""
+
+    frame_elidable: bool
+    resources: Tuple[Resource, ...]
+    blockers: Tuple[Blocker, ...]
+
+
+def _pin_type(name: str) -> Type:
+    if name == "NilClass":
+        return NIL
+    if name == "Boolean":
+        return BOOL
+    return NominalType(name)
+
+
+def prove_frame(engine: "Engine", mir: MethodIR, recv_owner: str,
+                pins: Optional[Sequence[Optional[str]]] = None,
+                arms: Optional[List[MethodType]] = None) -> FrameProof:
+    """Run the checker over ``mir`` for receiver class ``recv_owner``.
+
+    ``pins`` gives an RDL class name (or ``None``) per fixed parameter:
+    a pinned parameter is typed by its exact class, every other one
+    ``%any``.  ``arms`` are the signature arms to walk (an untyped
+    ``(*%any) -> %any`` arm when omitted).  A rejection blocks the
+    frame with ``type_error``; nothing is raised.
+    """
+    params: Dict[str, Type] = {}
+    fixed = [p for p in mir.params if not p.vararg]
+    for i, p in enumerate(fixed):
+        pin = pins[i] if pins is not None and i < len(pins) else None
+        params[p.name] = ANY if pin is None else _pin_type(pin)
+    for p in mir.params:
+        if p.vararg:
+            params[p.name] = array_of(ANY)  # a host tuple, items unknown
+    if not arms:
+        arms = [MethodType((VarargParam(ANY),), None, ANY)]
+    try:
+        with engine.hier.trace() as reads:
+            outcome = engine.checker.check_method(
+                mir, arms, NominalType(recv_owner), params)
+    except (StaticTypeError, TypeSignatureError) as exc:
+        return FrameProof(False, (), ((BLOCK_TYPE_ERROR, str(exc)),))
+    resources = outcome.trace + [lin_resource(cls) for cls in sorted(reads)]
+    return FrameProof(not outcome.blockers,
+                      tuple(dict.fromkeys(resources)),
+                      tuple(outcome.blockers))
+
+
 class Elision:
     """What one compiled entry may omit, and the facts that justify it."""
 
-    __slots__ = ("cache_guard", "frame", "arg_check", "ret_check",
-                 "guard_profiles", "chain_conforms", "arity", "count",
-                 "resources", "callees")
+    __slots__ = ("cache_guard", "frame", "arg_check", "guard_profiles",
+                 "chain_conforms", "arity", "count", "resources")
 
     def __init__(self, *, cache_guard: bool, frame: bool, arg_check: bool,
-                 ret_check: bool,
                  guard_profiles: Optional[Tuple[tuple, ...]],
                  chain_conforms: bool, arity: Optional[int],
-                 resources: Tuple[Resource, ...],
-                 callees: Tuple[Tuple[str, str, str], ...]) -> None:
+                 resources: Tuple[Resource, ...]) -> None:
         self.cache_guard = cache_guard
         self.frame = frame
         self.arg_check = arg_check
-        self.ret_check = ret_check
         #: class chains to pin unconditionally (OR of chains; a ``None``
         #: slot inside a chain means "no pin for this position"), or
         #: ``None`` when every verdict holds seed-free.
         self.guard_profiles = guard_profiles
         #: whether a matched chain also certifies argument conformance
         #: (learned profiles do; the layout pseudo-profile pins classes
-        #: for the dataflow only, so the profile test stays).
+        #: for the frame proof only, so the profile test stays).
         self.chain_conforms = chain_conforms
         #: arity to guard when ``arg_check`` is elided without a pinned
         #: profile chain (the chain already fixes the length).
         self.arity = arity
         #: per-call check operations the wrapper omits — what the
         #: ``checks_elided`` counter advances by on every elided call.
-        self.count = (int(cache_guard) + int(frame) + int(arg_check)
-                      + int(ret_check))
+        self.count = int(cache_guard) + int(frame) + int(arg_check)
         self.resources = resources
-        self.callees = callees
 
     @property
     def guard_profile(self) -> Optional[tuple]:
@@ -156,7 +224,6 @@ class Elision:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Elision(cache_guard={self.cache_guard}, "
                 f"frame={self.frame}, arg_check={self.arg_check}, "
-                f"ret_check={self.ret_check}, "
                 f"pinned={len(self.guard_profiles or ())})")
 
 
@@ -173,9 +240,9 @@ class SiteAudit:
         self.checks: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         #: number of pinned guard chains (0 = seed-free or refused).
         self.pinned = 0
-        #: every (code, detail) blocker the analysis reported, for the
+        #: every (code, detail) blocker the frame proofs met, for the
         #: verbose audit listing.
-        self.blockers: Tuple[Tuple[str, str], ...] = ()
+        self.blockers: Tuple[Blocker, ...] = ()
 
     def proved(self, kind: str, *, pinned: bool = False) -> None:
         self.checks[kind] = (PROVED_PINNED if pinned else PROVED, ())
@@ -282,46 +349,33 @@ class Elider:
 
     def _decide(self, key: PlanKey, plan: CallPlan,
                 fn) -> Tuple[Optional[Elision], SiteAudit]:
-        # Lazy import: repro.ril's package init imports the analysis
-        # module, which reaches back into repro.core — importing it at
-        # module level here would dead-end when repro.ril loads first.
-        from ..ril.analysis import (
-            BLOCK_NO_IR, analyze_method, class_conforms, is_vacuous,
-            rdl_class_name,
-        )
-
         engine = self.engine
         audit = SiteAudit(key)
         def_owner, recv_owner, name, kind = key
         if kind != INSTANCE:
-            # Class-method receivers are class objects; the analysis
+            # Class-method receivers are class objects; the frame proof
             # models instance-typed self only.
             for ck in CHECK_KINDS:
                 audit.skipped(ck)
             return None, audit
         sig = plan.sig
         arms = list(sig.intersection()) if sig is not None else []
+        arg_relevant = bool(arms) and plan.arg_mode != ARG_CHECK_NEVER
         if _contract_blocks(engine, name):
             # A contract on this method name forces the generic wrapper
             # (the specializer refuses promotion), so no check op here
             # is ever discharged — report every applicable one blocked.
-            arg_rel = bool(arms) and plan.arg_mode != ARG_CHECK_NEVER
-            ret_rel = bool(arms) and plan.ret_mode != ARG_CHECK_NEVER
             reason = (BLOCK_CONTRACT,)
             audit.blockers = ((BLOCK_CONTRACT, name),)
             if plan.checked:
                 audit.blocked("cache_guard", reason)
             else:
                 audit.skipped("cache_guard")
-            if arg_rel:
+            if arg_relevant:
                 audit.blocked("arg_check", reason)
             else:
                 audit.skipped("arg_check")
             audit.blocked("frame", reason)
-            if ret_rel:
-                audit.blocked("ret_check", reason)
-            else:
-                audit.skipped("ret_check")
             return None, audit
         mir = (engine.cfgs.lookup(def_owner, name)
                or engine.cfgs.lookup(recv_owner, name))
@@ -336,87 +390,49 @@ class Elider:
         arity = len(tops[0]) if tops else _fixed_arity(arms)
 
         # -- argument verdict (signature-only: vacuous types) ----------
-        arg_relevant = bool(arms) and plan.arg_mode != ARG_CHECK_NEVER
         arg_ok = (arg_relevant and arity is not None and any(
             arm.block is None and arm.accepts_arity(arity)
             and all(is_vacuous(arm.param_type_at(j)) for j in range(arity))
             for arm in arms))
 
-        # -- frame / return verdicts (dataflow over the body) ----------
-        ret_relevant = bool(arms) and plan.ret_mode != ARG_CHECK_NEVER
-        hier = engine.hier
-        strict = engine.config.strict_nil
+        # -- frame verdict (the checker's walk over the body) ----------
         frame_ok = False
-        ret_ok = False
         guard_profiles: Optional[Tuple[tuple, ...]] = None
         chain_conforms = True
         resources: List[Resource] = []
-        callees: Tuple[Tuple[str, str, str], ...] = ()
-        blockers: List[Tuple[str, str]] = []
-
-        def ret_provable(report) -> bool:
-            if report.ret_classes is None:
-                return False
-            return all(
-                any(class_conforms(cls, arm.ret, hier, strict_nil=strict)
-                    for arm in arms)
-                for cls in report.ret_classes)
-
+        blockers: List[Blocker] = []
         if mir is None:
             blockers.append((BLOCK_NO_IR, f"{def_owner}#{name}"))
         else:
-            # The verdicts were derived while *this* body was installed.
+            # The verdict was derived while *this* body was installed.
             resources.append(ir_resource(mir.owner, name))
             if mir.owner != def_owner:
                 resources.append(ir_resource(def_owner, name))
-            report = analyze_method(engine, mir, recv_owner, None)
-            frame_ok = report.frame_elidable
-            ret_ok = ret_relevant and ret_provable(report)
-            resources.extend(report.resources)
-            callees = report.callees
-            blockers.extend(report.blockers)
-            if ret_ok:
-                resources.extend(
-                    lin_resource(cls) for cls in report.ret_classes)
-            want_seed = (not frame_ok) or (ret_relevant and not ret_ok)
-            if want_seed and tops:
-                # Prove under each hot profile; the hottest sets the
-                # target verdict, and further chains are admitted only
-                # when they independently re-prove everything a seeded
-                # verdict will claim (the wrapper elides whenever *any*
+            proof = prove_frame(engine, mir, recv_owner, None, arms)
+            frame_ok = proof.frame_elidable
+            resources.extend(proof.resources)
+            blockers.extend(proof.blockers)
+            if not frame_ok and tops:
+                # Prove under each hot profile; the hottest decides, and
+                # further chains are admitted only when they re-prove
+                # the frame too (the wrapper elides whenever *any*
                 # admitted chain matches).
-                seeded = [
-                    (p, analyze_method(
-                        engine, mir, recv_owner,
-                        tuple(rdl_class_name(c) for c in p)))
+                pinned = [(p, prove_frame(
+                    engine, mir, recv_owner,
+                    tuple(rdl_class_name(c) for c in p), arms))
                     for p in tops]
-                t_frame = seeded[0][1].frame_elidable
-                t_ret = ret_relevant and ret_provable(seeded[0][1])
-                gain_frame = t_frame and not frame_ok
-                gain_ret = t_ret and not ret_ok
-                if gain_frame or gain_ret:
-                    admitted = []
-                    for p, rep in seeded:
-                        p_ret = ret_relevant and ret_provable(rep)
-                        if ((rep.frame_elidable or not gain_frame)
-                                and (p_ret or not gain_ret)):
-                            admitted.append((p, rep, p_ret))
-                    guard_profiles = tuple(p for p, _, _ in admitted)
-                    for _, rep, p_ret in admitted:
-                        resources.extend(rep.resources)
-                        callees = callees + rep.callees
-                        if p_ret and gain_ret:
-                            resources.extend(
-                                lin_resource(cls)
-                                for cls in rep.ret_classes)
+                if pinned[0][1].frame_elidable:
+                    admitted = [(p, pr) for p, pr in pinned
+                                if pr.frame_elidable]
+                    guard_profiles = tuple(p for p, _ in admitted)
+                    for _, pr in admitted:
+                        resources.extend(pr.resources)
                     audit.pinned = len(admitted)
-                    frame_ok = frame_ok or t_frame
-                    ret_ok = ret_ok or t_ret
+                    frame_ok = True
                 else:
-                    for _, rep in seeded:
-                        blockers.extend(rep.blockers)
-            still_want = (not frame_ok) or (ret_relevant and not ret_ok)
-            if still_want and guard_profiles is None:
+                    for _, pr in pinned:
+                        blockers.extend(pr.blockers)
+            if not frame_ok:
                 # Layout pseudo-profile: a stable kwargs layout that
                 # binds defaulted slots pins their classes *by
                 # construction* — no learned profile needed.  The chain
@@ -428,31 +444,21 @@ class Elider:
                 chain = _layout_pseudo_profile(layout) \
                     if layout is not None else None
                 if chain is not None:
-                    rep = analyze_method(
+                    pr = prove_frame(
                         engine, mir, recv_owner,
                         tuple(rdl_class_name(c) if c is not None else None
-                              for c in chain))
-                    s_frame = rep.frame_elidable
-                    s_ret = ret_relevant and ret_provable(rep)
-                    if (s_frame and not frame_ok) or (s_ret and not ret_ok):
+                              for c in chain), arms)
+                    if pr.frame_elidable:
                         guard_profiles = (chain,)
                         chain_conforms = False
                         audit.pinned = 1
-                        resources.extend(rep.resources)
-                        callees = callees + rep.callees
-                        if s_ret and not ret_ok:
-                            resources.extend(
-                                lin_resource(cls)
-                                for cls in rep.ret_classes)
-                        frame_ok = frame_ok or s_frame
-                        ret_ok = ret_ok or s_ret
+                        resources.extend(pr.resources)
+                        frame_ok = True
                     else:
-                        blockers.extend(rep.blockers)
+                        blockers.extend(pr.blockers)
 
         # -- audit assembly --------------------------------------------
-        reasons = tuple(dict.fromkeys(code for code, _ in blockers))
         audit.blockers = tuple(dict.fromkeys(blockers))
-        pinned = guard_profiles is not None
         if plan.checked:
             audit.proved("cache_guard")
         else:
@@ -464,27 +470,20 @@ class Elider:
         else:
             audit.blocked("arg_check", ("non_vacuous_params",))
         if frame_ok:
-            audit.proved("frame", pinned=pinned)
+            audit.proved("frame", pinned=guard_profiles is not None)
         else:
-            audit.blocked("frame", reasons)
-        if not ret_relevant:
-            audit.skipped("ret_check")
-        elif ret_ok:
-            audit.proved("ret_check", pinned=pinned)
-        else:
-            audit.blocked("ret_check", reasons)
+            audit.blocked("frame", tuple(dict.fromkeys(
+                code for code, _ in blockers)))
 
         cache_guard = plan.checked
-        if not (cache_guard or frame_ok or arg_ok or ret_ok):
+        if not (cache_guard or frame_ok or arg_ok):
             return None, audit
         return Elision(
             cache_guard=cache_guard,
             frame=frame_ok,
             arg_check=arg_ok,
-            ret_check=ret_ok,
             guard_profiles=guard_profiles,
             chain_conforms=chain_conforms,
             arity=arity if arg_ok else None,
             resources=tuple(dict.fromkeys(resources)),
-            callees=tuple(dict.fromkeys(callees)),
         ), audit

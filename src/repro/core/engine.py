@@ -159,11 +159,11 @@ class EngineConfig:
     specialize: bool = True
     #: warm hits a call plan must serve before promotion to tier 2.
     specialize_threshold: int = 50
-    #: tier-3: statically discharge per-call checks the RIL dataflow
-    #: pass proves redundant, so promoted wrappers *omit* them
-    #: (:mod:`repro.core.elide`).  False (or ``REPRO_DISABLE_ELIDE=1``)
-    #: keeps tier-2 wrappers performing every check — the
-    #: ``tier1-noelide`` differential mode.
+    #: tier-3: statically discharge per-call checks proved redundant
+    #: (the frame from the checker's own walk), so promoted wrappers
+    #: *omit* them (:mod:`repro.core.elide`).  False (or
+    #: ``REPRO_DISABLE_ELIDE=1``) keeps tier-2 wrappers performing every
+    #: check — the ``tier1-noelide`` differential mode.
     elide: bool = True
     #: deopt-storm circuit breaker: demote chronically flapping sites to
     #: tier 1 with a cooldown, and pause all promotion during an
@@ -316,17 +316,6 @@ class Engine:
                 parent = supers[0].__name__ if supers else "Object"
                 if not self.hier.is_known(name):
                     self.hier.add_class(name, parent)
-                    # A genuinely-new subclass makes its parent a
-                    # non-leaf: tier-3 elisions that proved exactness
-                    # from the parent's leafness carry a
-                    # ("lin", parent) edge and must fall.  Plans only —
-                    # the check cache and subtype memos never read
-                    # leafness (a new leaf class changes no
-                    # linearization), so they stay warm.
-                    if self._plans is not None:
-                        self.stats.plan_invalidations += \
-                            self._plans.invalidate_resources(
-                                (lin_resource(parent),))
             for base in bases:
                 if base.__dict__.get("__hb_module__"):
                     self.hier.include_module(name, base.__name__)

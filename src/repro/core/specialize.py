@@ -54,23 +54,22 @@ recompile the polymorphic extension uses — swapping the entry for one
 with the layout compiled in.
 
 **Tier 3 — static check elimination.**  At promotion time the
-:class:`~repro.core.elide.Elider` runs the RIL forward dataflow pass
-over the callee's lowered body and reports which per-call safety
+:class:`~repro.core.elide.Elider` reports which per-call safety
 operations are *provably redundant* for this site
 (:class:`~repro.core.elide.Elision`); the codegen here then **omits**
 them instead of partially evaluating them: the check-cache membership
 probe, the argument-profile test (arity-guarded when every matching
-parameter type is vacuous), the checked-frame push/pop around the call,
-and the return conformance walk.  Verdicts that hold only under the
-dominant argument profile pin that profile as an *unconditional* guard
-chain (no copy-on-write fallback — a miss bails to the generic tier),
-so the facts the analysis assumed hold on every call that runs the
-elided body.  Counter parity is preserved bump for bump — an elided
-wrapper reports exactly what the generic tier would have reported, plus
-``checks_elided`` advancing by the number of omitted operations per
-call.  Every fact the verdicts consumed becomes a plan-dependency edge
-*before* the wrapper is installed, so elided sites deoptimize under
-exactly the wave that would invalidate the fact.
+parameter type is vacuous), and the checked-frame push/pop around the
+call (proved by the JIT checker's own walk over the body).  A frame
+verdict that holds only under the hot argument profiles pins them as an
+*unconditional* guard chain (no copy-on-write fallback — a miss bails
+to the generic tier), so the types the proof assumed hold on every
+call that runs the elided body.  Counter parity is preserved bump for
+bump — an elided wrapper reports exactly what the generic tier would
+have reported, plus ``checks_elided`` advancing by the number of
+omitted operations per call.  Every fact the verdicts consumed becomes
+a plan-dependency edge *before* the wrapper is installed, so elided
+sites deoptimize under exactly the wave that would invalidate the fact.
 
 **Adaptive re-promotion.**  Deoptimizing a site records its plan key in
 a bounded re-warm registry; when the plan is rebuilt, the engine stamps
@@ -469,7 +468,7 @@ class Specializer:
                 return False  # a wave dropped the plan while we raced here
             if def_cls.__dict__.get(name) is not raw:
                 return False  # the slot changed under us; stay generic
-            # Tier 3: run the static analysis under the writer lock (the
+            # Tier 3: derive the elision under the writer lock (the
             # world it sees is the world the wrapper compiles against)
             # and merge the facts it consumed into the plan's dependency
             # edges *before* the wrapper can be installed — mutating any
@@ -479,7 +478,7 @@ class Specializer:
                        if elider is not None else None)
             if elision is not None and not plans.add_resources(
                     key, plan, elision.resources):
-                return False  # a direct wave dropped the plan mid-analysis
+                return False  # a direct wave dropped the plan mid-proof
             entry = _Entry(key, guard_cls, plan, _entry_kw_layout(plan),
                            elision)
             recompiled = False
@@ -879,12 +878,12 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         ]
         ns[f"_ckey{i}"] = (recv_owner, name)
     if gps:
-        # Pinned profile chains: the frame/return verdicts below were
-        # proved *under these argument classes*, so the chains guard
+        # Pinned profile chains: the frame verdict below was proved
+        # *under these argument classes*, so the chains guard
         # unconditionally — no copy-on-write fallback; a call matching
         # none of them (another learned profile, a new shape) bails to
-        # the generic tier.  Every admitted chain re-proved every seeded
-        # verdict, so matching any one of them is sufficient.  A None
+        # the generic tier.  Every admitted chain re-proved the frame,
+        # so matching any one of them is sufficient.  A None
         # slot is unpinned (the layout pseudo-profile pins only
         # defaulted slots) and emits no test.
         conds = []
@@ -902,7 +901,6 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         ]
     frame_elided = el is not None and el.frame
     arg_elided = el is not None and el.arg_check
-    ret_elided = el is not None and el.ret_check
     do_ret = sig is not None and plan.ret_mode != ARG_CHECK_NEVER
     need_stack = (not frame_elided
                   or (sig is not None
@@ -1011,41 +1009,21 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         ]
     if do_ret:
         if plan.ret_profile_eligible:
-            if ret_elided:
-                # Conformance is statically proved for every class the
-                # body can return; keep the membership probe purely for
-                # counter/profile parity with the generic tier, but the
-                # slow conformance walk is gone.
-                lines += [
-                    "if do_ret:",
-                    f"    if type(result) in _plan{i}.ret_profiles:",
-                    "        c.ret_profile_hits += 1",
-                    "    else:",
-                    f"        _plan{i}.learn_ret_profile(type(result))",
-                    "    c.dynamic_ret_checks += 1",
-                ]
-            else:
-                lines += [
-                    "if do_ret:",
-                    f"    if type(result) in _plan{i}.ret_profiles:",
-                    "        c.ret_profile_hits += 1",
-                    "    else:",
-                    f"        _ret_slow{i}(result)",
-                    "    c.dynamic_ret_checks += 1",
-                ]
-
-                def _ret_slow(result, _engine=engine, _plan=plan,
-                              _owner=recv_owner, _name=name):
-                    _engine._dynamic_ret_check(_plan.sig, result, _owner,
-                                               _name)
-                    _plan.learn_ret_profile(type(result))
-
-                ns[f"_ret_slow{i}"] = _ret_slow
-        elif ret_elided:
             lines += [
                 "if do_ret:",
+                f"    if type(result) in _plan{i}.ret_profiles:",
+                "        c.ret_profile_hits += 1",
+                "    else:",
+                f"        _ret_slow{i}(result)",
                 "    c.dynamic_ret_checks += 1",
             ]
+
+            def _ret_slow(result, _engine=engine, _plan=plan,
+                          _owner=recv_owner, _name=name):
+                _engine._dynamic_ret_check(_plan.sig, result, _owner, _name)
+                _plan.learn_ret_profile(type(result))
+
+            ns[f"_ret_slow{i}"] = _ret_slow
         else:
             lines += [
                 "if do_ret:",

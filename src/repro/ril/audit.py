@@ -4,10 +4,11 @@ cannot discharge — and why not.
 The papers this repo reproduces against (Vitousek et al.'s transient
 check optimization, Static Python's gradual soundness) report the large
 majority of dynamic checks statically removable at observed types; this
-tool measures how close the RIL dataflow gets on *our* workloads, and
-names the blocker for every check it cannot discharge (``unknown_join``,
-``non_leaf_nominal``, ``budget_exhausted``, ``whitelist_miss``, ...).
-It is the static-analysis telemetry surface seeded by ROADMAP item 5.
+tool measures how close tier 3 gets on *our* workloads, and names the
+blocker for every check it cannot discharge (``whitelist_miss``,
+``opaque_code``, ``type_error``, ``no_ir``, ``contract``).  The frame
+verdicts come from the JIT checker's own walk over each body
+(:func:`repro.core.elide.prove_frame`).
 
 Programmatic use (the bench harness imports these)::
 
@@ -27,13 +28,12 @@ engine's writer lock — it never mutates the engine, never consumes
 snapshot seeds, and never installs wrappers.  The headline
 ``elision_rate`` is proved check ops (seed-free or profile-pinned) over
 *applicable* check ops: a check that never runs at a site (an unchecked
-plan's cache guard, a ``ret_check`` in ``never`` mode) counts in
+plan's cache guard, an argument check in ``never`` mode) counts in
 neither numerator nor denominator.
 
 This module is deliberately not exported from ``repro.ril``'s package
 init: it imports ``repro.core`` eagerly, which the rest of the package
-must not (the elider imports ``repro.ril.analysis`` lazily to break the
-same cycle).
+must not (``repro.core`` imports ``repro.ril``).
 """
 
 from __future__ import annotations

@@ -82,39 +82,41 @@ def class_name_of(value: object) -> str:
     cls = type(value)
     name = _CLASS_NAME_MEMO.get(cls)
     if name is None:
-        name = _class_name_of_uncached(value)
+        name = rdl_class_name(cls)
         _CLASS_NAME_MEMO[cls] = name
     return name
 
 
-def _class_name_of_uncached(value: object) -> str:
-    if isinstance(value, bool):
+def rdl_class_name(cls: type) -> str:
+    """The RDL class name of every host value whose class is ``cls``."""
+    if cls is type(None):
+        return "NilClass"
+    if issubclass(cls, bool):
         return "Boolean"
-    if isinstance(value, int):
+    if issubclass(cls, int):
         return "Integer"
-    if isinstance(value, float):
+    if issubclass(cls, float):
         return "Float"
-    if isinstance(value, str):
+    if issubclass(cls, str):
         return "String"
-    if isinstance(value, Sym):
+    if issubclass(cls, Sym):
         return "Symbol"
-    if isinstance(value, list):
+    if issubclass(cls, (list, tuple)):
         return "Array"
-    if isinstance(value, tuple):
-        return "Array"
-    if isinstance(value, dict):
+    if issubclass(cls, dict):
         return "Hash"
-    if isinstance(value, set):
+    if issubclass(cls, set):
         return "Set"
-    if isinstance(value, range):
+    if issubclass(cls, range):
         return "Range"
-    if isinstance(value, (datetime.datetime, datetime.date)):
+    if issubclass(cls, (datetime.datetime, datetime.date)):
         return "Time"
-    if isinstance(value, type):
+    if issubclass(cls, type):
         return "Class"
-    if callable(value):
+    # callable(v) is decided by __call__ on type(v)'s MRO.
+    if any("__call__" in c.__dict__ for c in cls.__mro__):
         return "Proc"
-    return type(value).__name__
+    return cls.__name__
 
 
 def type_of(value: object) -> Type:

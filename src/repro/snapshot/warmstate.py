@@ -8,7 +8,7 @@ What gets serialized (the state a long-lived process paid for):
 * **call plans** — per-site resolution results plus everything the site
   *learned*: hit counts, argument/return class profiles with their hit
   counts, kwargs layouts, and whether the site was promoted to tier 2;
-* **elision verdicts** — the tier-3 analysis results attached to
+* **elision verdicts** — the tier-3 verdicts attached to
   promoted sites, with their full resource lists so the restored
   wrapper deopts on exactly the mutations the original would have.
 
@@ -63,13 +63,11 @@ from ..rdl.registry import INSTANCE
 from ..rdl.registry import INSTANCE
 
 SNAPSHOT_FORMAT = "hummingbird-warm-state"
-#: version 2: multi-profile elision verdicts (``guard_profiles`` chains
-#: with optional unpinned slots + ``chain_conforms``) replaced the
-#: single ``guard_profile``, and verdicts may carry ``("lin", cls)``
-#: leaf-exactness resources.  Version-1 documents are rejected at the
-#: envelope (fail closed to cold start) — their verdicts cannot express
-#: the new pin semantics.
-SNAPSHOT_VERSION = 2
+#: version 3: elision records no longer carry ``ret_check`` or the
+#: followed-callee ``callees`` chain (tier 3 proves frames from the
+#: checker's walk alone).  Any other version is rejected at the envelope
+#: (fail closed to cold start).
+SNAPSHOT_VERSION = 3
 
 #: builtin receiver/argument classes a profile may mention by name.
 _BUILTIN_CLASSES: Dict[str, type] = {
@@ -255,12 +253,9 @@ def _capture_elisions(engine: Engine) -> List[dict]:
                 _, owner, name = resource
                 mir = engine.cfgs.lookup(owner, name)
                 if mir is None:
-                    # An ``("ir", ...)`` edge with no live CFG is a
-                    # builtin-callee edge (e.g. ``Integer#+`` from the
-                    # trusted-signature path): there is no body to
-                    # fingerprint, only a deopt edge to keep — the
-                    # ``callees`` chain below carries every consumed
-                    # *body*'s fingerprint for load-time re-validation.
+                    # The declaring class's edge when the body was
+                    # lowered on the receiver: no body to fingerprint,
+                    # only a deopt edge to keep.
                     continue
                 ir_fps.append([owner, name, mir.fingerprint])
         guard_profiles = None
@@ -288,12 +283,10 @@ def _capture_elisions(engine: Engine) -> List[dict]:
             "cache_guard": bool(elision.cache_guard),
             "frame": bool(elision.frame),
             "arg_check": bool(elision.arg_check),
-            "ret_check": bool(elision.ret_check),
             "guard_profiles": guard_profiles,
             "chain_conforms": bool(elision.chain_conforms),
             "arity": elision.arity,
             "resources": sorted(list(r) for r in elision.resources),
-            "callees": sorted(list(c) for c in elision.callees),
             "ir_fps": sorted(ir_fps),
         })
     return records
@@ -365,8 +358,8 @@ def _live_body_fingerprint(engine: Engine, owner: str,
     """The live CFG fingerprint for ``owner#name``, registering the
     body on demand: CFGs are built lazily (at static-check or promotion
     time), so a fresh pre-traffic engine has none for *unchecked*
-    methods — exactly the bodies the inter-procedural pass recursed
-    into.  Unresolvable or unlowerable means ``None`` (fail closed)."""
+    methods, whose bodies tier 3 lowers at promotion.  Unresolvable or
+    unlowerable means ``None`` (fail closed)."""
     mir = engine.cfgs.lookup(owner, name)
     if mir is not None:
         return mir.fingerprint
@@ -383,12 +376,7 @@ def _live_body_fingerprint(engine: Engine, owner: str,
 def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
     for owner, name, saved_fp in rec.get("ir_fps", []):
         if _live_body_fingerprint(engine, owner, name) != saved_fp:
-            return None  # a consumed body changed; re-analyze live
-    for owner, name, saved_fp in rec.get("callees", []):
-        # The callee chain carries its own fingerprints; any drifted
-        # link (a redefined depth-2 callee) voids the whole verdict.
-        if _live_body_fingerprint(engine, owner, name) != saved_fp:
-            return None
+            return None  # the proved body changed; re-prove live
     guard_profiles = None
     if rec.get("guard_profiles") is not None:
         chains = []
@@ -411,12 +399,10 @@ def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
         cache_guard=bool(rec["cache_guard"]),
         frame=bool(rec["frame"]),
         arg_check=bool(rec["arg_check"]),
-        ret_check=bool(rec["ret_check"]),
         guard_profiles=guard_profiles,
         chain_conforms=bool(rec.get("chain_conforms", True)),
         arity=int(arity) if arity is not None else None,
         resources=tuple(tuple(r) for r in rec.get("resources", [])),
-        callees=tuple(tuple(c) for c in rec.get("callees", [])),
     )
 
 

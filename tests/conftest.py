@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro.core import (
-    caches_disabled_by_env, elide_disabled_by_env,
+    breaker_disabled_by_env, caches_disabled_by_env, elide_disabled_by_env,
     specialize_disabled_by_env,
 )
 
@@ -42,6 +42,10 @@ SPECIALIZE_DISABLED = specialize_disabled_by_env() or CACHES_DISABLED
 #: tier-3 elision rides tier-2 promotion, so any switch that disables
 #: specialization disables it too.
 ELIDE_DISABLED = elide_disabled_by_env() or SPECIALIZE_DISABLED
+
+#: the deopt-storm circuit breakers gate re-promotion; with
+#: REPRO_DISABLE_BREAKER=1 sites re-promote ungated and never trip.
+BREAKER_DISABLED = breaker_disabled_by_env()
 
 
 def _fork_disabled() -> bool:
@@ -83,6 +87,11 @@ def pytest_configure(config):
         "any switch that already disables tier-2 specialization")
     config.addinivalue_line(
         "markers",
+        "requires_breaker: asserts deopt-storm circuit-breaker "
+        "observables (trips, cooldowns, pauses); skipped when "
+        "REPRO_DISABLE_BREAKER=1 (the tier1-nobreaker job)")
+    config.addinivalue_line(
+        "markers",
         "requires_fork: forks worker processes; skipped where the "
         "'fork' start method is unavailable or REPRO_DISABLE_FORK=1")
 
@@ -101,6 +110,9 @@ def pytest_runtest_setup(item):
     if ELIDE_DISABLED and item.get_closest_marker("requires_elision"):
         pytest.skip("tier-3 elision observables absent under "
                     "REPRO_DISABLE_ELIDE=1 (or with specialization off)")
+    if BREAKER_DISABLED and item.get_closest_marker("requires_breaker"):
+        pytest.skip("circuit-breaker observables absent under "
+                    "REPRO_DISABLE_BREAKER=1")
     if FORK_DISABLED and item.get_closest_marker("requires_fork"):
         pytest.skip("'fork' start method unavailable (or "
                     "REPRO_DISABLE_FORK=1)")

@@ -81,6 +81,7 @@ def _plan_key(engine, name="bump"):
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_flap_storm_trips_per_site_breaker():
     engine, clock = breaker_engine()
     cls = _hot_world(engine)
@@ -101,6 +102,7 @@ def test_flap_storm_trips_per_site_breaker():
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_tripped_site_loses_rewarm_discount():
     engine, clock = breaker_engine()
     spec = engine._specializer
@@ -122,6 +124,7 @@ def test_tripped_site_loses_rewarm_discount():
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_breaker_rearms_after_cooldown():
     engine, clock = breaker_engine()
     cls = _hot_world(engine)
@@ -139,6 +142,7 @@ def test_breaker_rearms_after_cooldown():
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_flap_during_cooldown_restarts_quiet_timer():
     engine, clock = breaker_engine()
     spec = engine._specializer
@@ -168,6 +172,7 @@ def test_flap_during_cooldown_restarts_quiet_timer():
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_wave_storm_pauses_all_promotion():
     engine, clock = breaker_engine(breaker_wave_limit=3,
                                    breaker_flap_limit=1000)
@@ -199,6 +204,7 @@ def test_wave_storm_pauses_all_promotion():
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_tripped_site_still_enforces_types():
     """Graceful degradation must not relax checking: a demoted site
     raises exactly what the generic tier raises."""
@@ -250,6 +256,7 @@ def test_breaker_disabled_by_env(monkeypatch):
 
 
 @pytest.mark.requires_specialization
+@pytest.mark.requires_breaker
 def test_breaker_counters_in_snapshot():
     engine, clock = breaker_engine()
     cls = _hot_world(engine)

@@ -312,3 +312,86 @@ class TestStrictNil:
                 return None
 
         assert Loose().may_be_nil() is None  # checks, then returns nil
+
+
+class TestSoundness:
+    def test_try_handler_sees_types_assigned_in_the_body(self):
+        """A name rebound in a ``try`` body before the raise holds its
+        new value in the handler, so the handler must not type it at its
+        pre-``try`` type alone."""
+        engine, hb = fresh()
+
+        class TryRebind:
+            @hb.typed("(Integer) -> Integer")
+            def f(self, n):
+                x = 1
+                try:
+                    x = "s"
+                    raise ValueError()
+                except ValueError:
+                    return x + 1
+                return 0
+
+        with pytest.raises(StaticTypeError):
+            TryRebind().f(3)
+
+    def test_finally_sees_types_assigned_before_an_escaping_raise(self):
+        """The finally block also runs when the body raises part-way,
+        so it sees every type the body assigned, not just the body's
+        final environment."""
+        engine, hb = fresh()
+
+        class TryFinally:
+            @hb.typed("(Integer) -> Integer")
+            def f(self, n):
+                x = 1
+                try:
+                    x = "s"
+                    if n > 0:
+                        raise ValueError()
+                    x = 2
+                finally:
+                    return x + 1
+
+        with pytest.raises(StaticTypeError):
+            TryFinally().f(3)
+
+    def test_unconverged_loop_fails_closed(self):
+        """A loop whose environment has not converged after the pass cap
+        is rejected, naming the variables still changing, instead of
+        being accepted under a non-invariant."""
+        engine, hb = fresh()
+
+        class SlowLoop:
+            @hb.typed("(Integer) -> Integer")
+            def g(self, n):
+                a = 1
+                b = 1
+                c = 1
+                d = 1
+                e = 1
+                f = 1
+                g = 1
+                h = 1
+                i = 1
+                j = 1
+                k = 1
+                m = 1
+                while n > 0:
+                    m = k
+                    k = j
+                    j = i
+                    i = h
+                    h = g
+                    g = f
+                    f = e
+                    e = d
+                    d = c
+                    c = b
+                    b = a
+                    a = "s"
+                    n = n - 1
+                return m + 1
+
+        with pytest.raises(StaticTypeError, match="did not stabilize"):
+            SlowLoop().g(3)

@@ -752,7 +752,7 @@ def test_elision_fires_on_hot_checked_leaf():
 
 @pytest.mark.requires_elision
 def test_elided_site_still_rejects_bad_arguments():
-    """Frame/return verdicts proved under the dominant profile pin it as
+    """A frame verdict proved under the dominant profile pins it as
     an *unconditional* guard: any other argument class bails to the
     generic tier, which raises exactly as before."""
     engine = spec_engine()
@@ -851,64 +851,10 @@ def test_callee_churn_deopts_elided_caller():
 
 
 @pytest.mark.requires_elision
-def test_subclassing_leaf_deopts_elided_site():
-    """Leaf-exactness is a revocable fact: the analysis resolved
-    ``self.base`` by treating the hierarchy-leaf receiver as *exact*,
-    recording a ``("lin", cls)`` edge — so merely *defining* a subclass
-    (no retype, no redefinition) must tear the elided caller down, and
-    the new subclass is served correct generic traffic immediately."""
-    engine = spec_engine()
-    cls = type("SpecLeafExact", (object,), {})
-    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
-    _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        assert obj.double(i) == 2 * i
-    assert engine.stats.elide_promotions >= 1
-    assert _slot_is_specialized(cls, "double")
-    sub = type("SpecLeafExactSub", (cls,), {})
-    engine.register_class(sub)
-    assert not _slot_is_specialized(cls, "double")
-    assert sub().double(3) == 6   # subclass traffic correct at once
-    assert obj.double(4) == 8     # base receiver re-warms fine too
-
-
-@pytest.mark.requires_elision
-def test_depth2_callee_redefinition_deopts_elided_caller():
-    """Inter-procedural verdicts follow callees *transitively* when a
-    link's declaration cannot be trusted: ``mid`` is annotated but
-    unchecked, so analyzing ``top`` recurses into ``mid``'s body and
-    through it consults ``base`` — every link an ``("ir", ...)`` edge —
-    so redefining the depth-2 callee deopts the elided top-level caller
-    and the new body is visible on the very next call.  (With a
-    *checked* ``mid`` the chain legitimately stops at its trusted
-    signature and ``base``'s body is never consumed.)"""
-    engine = spec_engine()
-    cls = type("SpecDeepChain", (object,), {})
-    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
-    _define(engine, cls, "mid",
-            "def mid(self, n):\n    return self.base(n) + 1\n",
-            "(Integer) -> Integer", check=False)
-    _define(engine, cls, "top",
-            "def top(self, n):\n    return self.mid(n) + n\n",
-            "(Integer) -> Integer")
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        assert obj.top(i) == 2 * i + 1
-    assert engine.stats.elide_promotions >= 1
-    assert _slot_is_specialized(cls, "top")
-    _define(engine, cls, "base",
-            "def base(self, n):\n    return n + 100\n",
-            "(Integer) -> Integer")
-    assert not _slot_is_specialized(cls, "top")
-    assert obj.top(1) == 103  # the *new* depth-2 body, immediately
-
-
-@pytest.mark.requires_elision
 def test_ret_check_elided_for_provable_trusted_return():
-    """A trusted signature with always-mode return checks: when the body
-    provably returns a conforming class, the conformance walk is elided
-    — but ``dynamic_ret_checks`` still reports what the generic tier
+    """A trusted signature with always-mode return checks: the promoted
+    site (its frame proved from the checker's walk) still runs the
+    return check — ``dynamic_ret_checks`` reports what the generic tier
     would, and a *lying* sibling keeps its full check."""
     from repro import ReturnTypeError
 
@@ -999,16 +945,15 @@ _STRESS_BODIES = {
     "ident": "def {name}(self, n):\n    return n\n",
     "chain": "def {name}(self, n):\n    return self.m0(n)\n",
     # chain2 on m2 with m1 redefined to "chain" makes m2 -> m1 -> m0 a
-    # depth-2 inter-procedural chain (m1 starts *unchecked*, so the
-    # analysis recurses through its body instead of trusting its sig).
+    # depth-2 call chain through an *unchecked* m1.
     "chain2": "def {name}(self, n):\n    return self.m1(n)\n",
 }
 
 #: receivers the stress scripts dispatch through: the base class, two
 #: subclasses (bursts on different receivers drive 2-entry polymorphic
 #: promotion), and "newest" — the most recently created mid-flight
-#: subclass (the "subclass" op replaces it), so leaf-exactness facts
-#: get revoked under live traffic.
+#: subclass (the "subclass" op replaces it), so hierarchy waves land
+#: under live traffic.
 _STRESS_RECEIVERS = ("base", "suba", "subb", "newest")
 
 stress_ops = st.lists(
@@ -1027,7 +972,7 @@ stress_ops = st.lists(
                   st.sampled_from(sorted(_STRESS_BODIES))),
         st.tuples(st.just("badcall"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(_STRESS_RECEIVERS)),
-        # mid-flight subclassing: revokes ("lin", parent) leaf facts
+        # mid-flight subclassing: a hierarchy wave under traffic
         st.tuples(st.just("subclass"),
                   st.sampled_from(("base", "suba", "subb"))),
     ),
@@ -1051,9 +996,8 @@ def _stress_replay(script, *, disable):
         _define(engine, cls, name,
                 _STRESS_BODIES["inc"].format(name=name),
                 "(Integer) -> Integer")
-    # m1 starts annotated-but-unchecked: a caller's analysis cannot
-    # trust its signature and recurses into its body, so chain2 scripts
-    # build real depth-2 ("ir", ...) dependency chains.
+    # m1 starts annotated-but-unchecked, so chain2 scripts call through
+    # a body no static check covers.
     _define(engine, cls, "m1", _STRESS_BODIES["inc"].format(name="m1"),
             "(Integer) -> Integer", check=False)
     sub_a = type("SpecStressA", (cls,), {})
@@ -1092,10 +1036,8 @@ def _stress_replay(script, *, disable):
             outcomes.append(_stress_outcome(
                 lambda: engine.define_method(cls, name, fn, source=body)))
         elif op[0] == "subclass":
-            # Defining a subclass is a pure hierarchy wave: any elision
-            # whose analysis treated the parent as an *exact* leaf must
-            # deopt, and the fresh class immediately serves traffic as
-            # the "newest" receiver.
+            # Defining a subclass is a pure hierarchy wave; the fresh
+            # class immediately serves traffic as the "newest" receiver.
             _, recv = op
             parent = type(receivers[recv])
             dyn_subs += 1
@@ -1149,27 +1091,6 @@ def test_stress_scenarios_actually_kw_promote():
     _, engine = _stress_replay(script, disable=False)
     assert engine.stats.kw_promotions >= 1
     assert engine.stats.kw_spec_hits > 0
-
-
-@pytest.mark.requires_elision
-def test_stress_scenarios_actually_build_and_break_deep_chains():
-    """The new stress ops are not vacuous: a chain2 script hot-paths a
-    depth-2 inter-procedural chain (m2 -> unchecked m1 -> m0), the
-    depth-2 callee's redefinition deopts the top caller, and a
-    mid-flight subclass both revokes leaf facts and serves traffic."""
-    script = [("redefine", "m1", "chain"),      # m1 -> m0 (still unchecked)
-              ("burst", "m2", "base", 12),      # m2 -> m1 -> m0 goes hot
-              ("redefine", "m0", "ident"),      # depth-2 callee redefined
-              ("burst", "m2", "base", 6),
-              ("subclass", "base"),             # leaf fact revoked
-              ("burst", "m2", "newest", 8)]     # fresh subclass traffic
-    outcomes, engine = _stress_replay(script, disable=False)
-    oracle, _ = _stress_replay(script, disable=True)
-    assert outcomes == oracle
-    assert engine.stats.elide_promotions >= 1
-    assert engine.stats.deopts >= 1
-    # the ("subclass", "base") op actually registered a new class
-    assert engine.hier.is_known("SpecStressDyn1")
 
 
 @pytest.mark.requires_elision

@@ -9,6 +9,7 @@ from repro.rtypes import (
     ClassObjectType, GenericType, NominalType, SingletonType, Sym,
     class_name_of, default_hierarchy, parse_type, type_of, value_conforms,
 )
+from repro.rtypes.typeof import rdl_class_name
 
 
 @pytest.fixture
@@ -163,3 +164,31 @@ class TestValueConforms:
         assert value_conforms(Widget(), parse_type("Widget"), hier)
         assert value_conforms(Widget(), parse_type("Object"), hier)
         assert not value_conforms(Widget(), parse_type("User"), hier)
+
+
+# -- the class-name quotient --------------------------------------------------
+
+
+def test_rdl_class_name_builtin_cascade():
+    assert rdl_class_name(bool) == "Boolean"  # before Integer: bool < int
+    assert rdl_class_name(int) == "Integer"
+    assert rdl_class_name(float) == "Float"
+    assert rdl_class_name(str) == "String"
+    assert rdl_class_name(type(None)) == "NilClass"
+    assert rdl_class_name(list) == "Array"
+    assert rdl_class_name(dict) == "Hash"
+
+
+def test_rdl_class_name_callable_is_proc():
+    class WithCall:
+        def __call__(self):  # pragma: no cover - never invoked
+            pass
+
+    assert rdl_class_name(WithCall) == "Proc"
+
+
+def test_rdl_class_name_plain_class_uses_its_name():
+    class Plain:
+        pass
+
+    assert rdl_class_name(Plain) == "Plain"

@@ -240,10 +240,10 @@ def test_load_into_cache_free_oracle_is_refused():
 
 def test_old_version_snapshot_rejected_with_cold_start():
     """Format-version evolution is fail-closed in *both* directions: a
-    version-1 snapshot (single ``guard_profile`` tuples, no
-    ``chain_conforms``, no callee re-validation) is rejected wholesale —
-    never half-decoded under version-2 rules — and the engine cold-starts
-    cleanly, oracle-identical."""
+    previous-version snapshot (elision records with ``ret_check`` and a
+    followed-callee chain) is rejected wholesale — never half-decoded
+    under the current rules — and the engine cold-starts cleanly,
+    oracle-identical."""
     engine, _, _ = _warm_world()
     doc = save_snapshot(engine)
     old = dict(doc, version=SNAPSHOT_VERSION - 1)
@@ -266,7 +266,7 @@ def test_old_version_snapshot_rejected_with_cold_start():
 def _pinned_world(engine):
     """A hot ``%any``-typed site whose frame verdict holds only under
     the learned Integer profile: the elision carries a pinned guard
-    chain (``guard_profiles``), exercising the version-2 fields."""
+    chain (``guard_profiles``)."""
     cls = type("SnapPinned", (object,), {})
     body = "def relay(self, x):\n    return x + 1\n"
     namespace = {}
@@ -283,7 +283,7 @@ def _pinned_elision(engine):
 
 @pytest.mark.requires_elision
 def test_pinned_guard_chains_roundtrip():
-    """The version-2 elision fields — multi-profile ``guard_profiles``
+    """The elision's pin fields — multi-profile ``guard_profiles``
     chains and ``chain_conforms`` — survive save/load bit-for-bit, and
     the warm-started wrapper still enforces the pinned chain (an
     off-profile argument class bails to the generic tier)."""
@@ -319,49 +319,32 @@ def test_pinned_guard_chains_roundtrip():
 
 
 @pytest.mark.requires_elision
-def test_drifted_callee_fingerprint_voids_only_the_verdict():
-    """An elision record whose followed-callee fingerprint no longer
-    matches the live CFG registry is *not* seeded (the inter-procedural
-    facts were derived against a different body) — but the load itself
-    still succeeds and the site still re-promotes from scratch."""
-    def build(engine):
-        cls = type("SnapChain", (object,), {})
-        for name, body in (
-                ("helper", "def helper(self, x):\n    return x + 1\n"),
-                ("relay", "def relay(self, x):\n"
-                          "    return self.helper(x)\n")):
-            namespace = {}
-            exec(body, namespace)  # noqa: S102 - fixed test template
-            engine.define_method(
-                cls, name, namespace[name], sig="(%any) -> %any",
-                # helper is annotated-but-unchecked: relay's analysis
-                # cannot trust its signature and recurses into its
-                # body, recording the fingerprinted callee link.
-                check=(name == "relay"), source=body)
-        return cls
-
+def test_drifted_body_fingerprint_voids_only_the_verdict():
+    """An elision record whose proved body's fingerprint no longer
+    matches the live CFG registry is *not* seeded (the frame was proved
+    against a different body) — but the load itself still succeeds and
+    the site still re-promotes from scratch."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    obj = build(engine)()
+    obj = _pinned_world(engine)()
     for i in range(THRESHOLD + 8):
         obj.relay(i)
     doc = save_snapshot(engine)
     doc = json.loads(json.dumps(doc))  # deep copy
-    seedable = [r for r in doc["elisions"] if r.get("callees")]
-    assert seedable, "chain world produced no callee-bearing elisions"
-    for rec in seedable:
-        rec["callees"][0][2] = "0" * 64
+    drifted = [r for r in doc["elisions"] if r.get("ir_fps")]
+    assert drifted, "pinned world produced no body-fingerprinted elisions"
+    for rec in drifted:
+        rec["ir_fps"][0][2] = "0" * 64
 
     engine2 = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    cls2 = build(engine2)
+    cls2 = _pinned_world(engine2)
     report = load_snapshot(engine2, doc)
     assert report.loaded, report
-    assert report.elisions_seeded == len(doc["elisions"]) - len(seedable)
+    assert report.elisions_seeded == len(doc["elisions"]) - len(drifted)
     # the un-seeded site still works and re-derives its own verdict
     obj2 = cls2()
     for i in range(THRESHOLD + 8):
         assert obj2.relay(i) == i + 1
-    assert any(el is not None and el.callees
-               for _, el in engine2._specializer.promoted_entries())
+    assert _pinned_elision(engine2).frame
 
 
 def test_body_drift_skips_only_the_stale_entry():
