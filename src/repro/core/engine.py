@@ -212,7 +212,7 @@ class Engine:
             self.hier.memo_enabled = False
         self.types = TypeRegistry()
         self.types.lock = self.write_lock
-        self.cfgs = CFGRegistry()
+        self.cfgs = CFGRegistry(memo=not disable_caches)
         self.cache = CheckCache()
         self.stats = Stats()
         self.checker = Checker(self)
@@ -267,12 +267,15 @@ class Engine:
 
     def stats_snapshot(self) -> dict:
         """The :meth:`Stats.snapshot` dict, with the substrate counters
-        (the subtype memo lives on the hierarchy, not the engine) synced
-        into the stats object first."""
+        (the subtype memo lives on the hierarchy, the front-end memo on
+        the IR registry, not the engine) synced into the stats object
+        first."""
         cache = self.hier.subtype_cache
         self.stats.subtype_cache_hits = cache.hits
         self.stats.subtype_cache_misses = cache.misses
         self.stats.subtype_lru_evictions = cache.evictions
+        self.stats.ir_lowerings = self.cfgs.lowerings
+        self.stats.ir_lowering_hits = self.cfgs.memo_hits
         return self.stats.snapshot()
 
     # -- class registration -----------------------------------------------------
@@ -384,6 +387,7 @@ class Engine:
             self.hier.add_class(owner_name)
         existing = self.types.lookup(owner_name, name, kind)
         arms_before = len(existing.arms) if existing is not None else 0
+        version_before = self.types.version
         entry = self.types.add(owner_name, name, sig, kind=kind, check=check,
                                generated=generated)
         if len(entry.arms) != arms_before:
@@ -399,7 +403,13 @@ class Engine:
             if target is None and pycls is not None:
                 target = _find_callable(pycls, name, kind)
             if pycls is not None and target is not None:
-                self._install_wrapper(pycls, name, kind, target)
+                # A repeated annotation (rolify's pre-block re-annotates
+                # on every grant) leaves the table as it was; when the
+                # slot already holds our wrapper around this function,
+                # re-wrapping would only throw its specialization away.
+                self._install_wrapper(
+                    pycls, name, kind, target,
+                    keep_live=self.types.version == version_before)
             else:
                 self._pending_wraps.add((owner_name, name, kind))
         return entry
@@ -983,15 +993,19 @@ class Engine:
     # -- wrapping ---------------------------------------------------------------------------
 
     def _install_wrapper(self, pycls: type, name: str, kind: str,
-                         fn) -> None:
-        from ..rdl.wrap import wrap_method
+                         fn, *, keep_live: bool = False) -> None:
+        """Register ``fn``'s IR when its signature is checked, and wrap
+        the slot — unless ``keep_live`` and the slot already holds this
+        engine's wrapper around ``fn``."""
+        from ..rdl.wrap import holds_wrapper, wrap_method
         sig = self.types.lookup(pycls.__name__, name, kind)
         if sig is not None and sig.check:
             try:
                 self.cfgs.register_function(pycls.__name__, name, fn)
             except RegistrationError:
                 pass  # surfaces as NoMethodBodyError at first call
-        if self.config.intercept:
+        if self.config.intercept and not (
+                keep_live and holds_wrapper(self, pycls, name, fn, kind)):
             wrap_method(self, pycls, name, kind=kind, fn=fn)
         self._pending_wraps.discard((pycls.__name__, name, kind))
 

@@ -170,6 +170,10 @@ class Stats:
         self.subtype_lru_evictions = 0
         #: cache entries removed because a consulted linearization changed.
         self.hier_edge_invalidations = 0
+        #: IR front-end runs and front-end memo hits; synced from the IR
+        #: registry by Engine.stats_snapshot.
+        self.ir_lowerings = 0
+        self.ir_lowering_hits = 0
 
     # -- per-thread hot counters ----------------------------------------------
 
@@ -313,6 +317,8 @@ class Stats:
             "subtype_lru_evictions": self.subtype_lru_evictions,
             "retype_edge_invalidations": self.retype_edge_invalidations,
             "hier_edge_invalidations": self.hier_edge_invalidations,
+            "ir_lowerings": self.ir_lowerings,
+            "ir_lowering_hits": self.ir_lowering_hits,
         }
 
 

@@ -142,6 +142,23 @@ def _discard_specialization(engine, def_cls: type, name: str) -> None:
         specializer.discard_slot(def_cls, name)
 
 
+def holds_wrapper(engine, pycls: type, name: str, fn, kind: str) -> bool:
+    """True when the slot :func:`wrap_method` would rebind already holds
+    ``engine``'s wrapper (generic or specialized) around ``fn`` for
+    ``kind`` — re-wrapping it would only discard its specialization."""
+    def_cls = _defining_class(pycls, name)
+    if def_cls is None:
+        return False
+    raw = def_cls.__dict__.get(name)
+    is_cm = isinstance(raw, classmethod)
+    if is_cm != (kind == CLASS):
+        return False
+    inner = raw.__func__ if is_cm else raw
+    return (getattr(inner, "__hb_engine__", None) is engine
+            and getattr(inner, "__hb_original__", None)
+            is getattr(fn, "__hb_original__", fn))
+
+
 def is_wrapped(pycls: type, name: str) -> bool:
     def_cls = _defining_class(pycls, name)
     if def_cls is None:

@@ -14,7 +14,15 @@ statically checked.  This module is that mapping for the Python host:
   the spirit of the whole system;
 * :meth:`CFGRegistry.lookup` walks nothing: module methods mixed into many
   classes are registered per *including* class by the engine, matching the
-  paper's per-mixin caching strategy.
+  paper's per-mixin caching strategy;
+* the front end runs once per source: the paper lowers each app file once
+  and only *looks up* CFGs at run time, so re-registering a function
+  (dev-mode reloads, repeated annotations, one closure factory granting
+  many methods) is a memo hit.  The memo is keyed by the function's code
+  object (identity) or by the source text when one is given, and stores
+  the source-determined half of a :class:`MethodIR`: parameters, body and
+  its fingerprint.  Captures, file and line are read on every
+  registration; errors are never memoized.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from .ir import Node
 from .json_io import fingerprint
@@ -39,6 +48,31 @@ class ParamSpec:
     vararg: bool = False    # *args
 
 
+class Lowered:
+    """What lowering one source produced: its parameters, its body and
+    (computed on first use) the body's fingerprint.  One instance is shared
+    by every registration of that source; IR nodes are frozen, so the
+    sharing is safe."""
+
+    __slots__ = ("origin", "params", "body", "_digest")
+
+    def __init__(self, params: Tuple[ParamSpec, ...], body: Node,
+                 origin: object = None) -> None:
+        #: the code object a code-keyed memo entry was lowered for (the
+        #: entry holds it, so its ``id`` key cannot be reused).
+        self.origin = origin
+        self.params = params
+        self.body = body
+        self._digest: Optional[str] = None
+
+    @property
+    def digest(self) -> str:
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = fingerprint(self.body)
+        return digest
+
+
 @dataclass(frozen=True)
 class MethodIR:
     """A lowered method body plus everything the checker needs."""
@@ -50,10 +84,15 @@ class MethodIR:
     source_file: str = "<unknown>"
     source_line: int = 0
     captures: Mapping[str, object] = field(default_factory=dict)
+    #: the registry's shared lowering (None when built by hand).
+    lowered: Optional[Lowered] = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def fingerprint(self) -> str:
-        return fingerprint(self.body)
+        lowered = self.lowered
+        return (lowered.digest if lowered is not None
+                else fingerprint(self.body))
 
     def param_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.params)
@@ -63,11 +102,27 @@ class RegistrationError(ValueError):
     """Raised when a function's source cannot be found or lowered."""
 
 
-class CFGRegistry:
-    """Maps (class, method) to :class:`MethodIR`."""
+#: front-end memo bound (distinct sources per registry); past it the
+#: oldest entry is dropped and its source is lowered again on next use.
+MEMO_MAX = 1024
 
-    def __init__(self) -> None:
+
+class CFGRegistry:
+    """Maps (class, method) to :class:`MethodIR`.
+
+    ``memo=False`` lowers on every registration (the cache-free oracle).
+    ``lowerings`` counts front-end runs (parse + lower, failed ones too)
+    and ``memo_hits`` the registrations served from the memo; both are
+    exact when registrations are serialized, as the engine's writer lock
+    does.
+    """
+
+    def __init__(self, *, memo: bool = True) -> None:
         self._methods: Dict[Tuple[str, str], MethodIR] = {}
+        self._memo: Optional[Dict[Hashable, Lowered]] = {} if memo else None
+        self._memo_lock = threading.Lock()
+        self.lowerings = 0
+        self.memo_hits = 0
 
     def register_function(self, owner: str, name: str, fn: Any,
                           captures: Optional[Mapping[str, object]] = None
@@ -80,7 +135,58 @@ class CFGRegistry:
         source text (for methods created via ``exec``).
         """
         fn = inspect.unwrap(getattr(fn, "__func__", fn))
-        source = getattr(fn, "__hb_source__", None)
+        lowered = self._front_end(owner, name,
+                                  getattr(fn, "__hb_source__", None), fn)
+        return self._register(owner, name, lowered, _source_file(fn),
+                              _source_line(fn),
+                              captures or _closure_captures(fn))
+
+    def register_source(self, owner: str, name: str, source: str,
+                        captures: Optional[Mapping[str, object]] = None,
+                        source_file: str = "<string>") -> MethodIR:
+        """Lower and register a method from raw source text."""
+        lowered = self._front_end(owner, name, source)
+        return self._register(owner, name, lowered, source_file, 0,
+                              captures or {})
+
+    def register_ir(self, mir: MethodIR) -> MethodIR:
+        """Register an already-lowered method (e.g. loaded from JSON)."""
+        self._methods[(mir.owner, mir.name)] = mir
+        return mir
+
+    def _register(self, owner: str, name: str, lowered: Lowered,
+                  source_file: str, source_line: int,
+                  captures: Mapping[str, object]) -> MethodIR:
+        mir = MethodIR(owner=owner, name=name, params=lowered.params,
+                       body=lowered.body, source_file=source_file,
+                       source_line=source_line, captures=dict(captures),
+                       lowered=lowered)
+        self._methods[(owner, name)] = mir
+        return mir
+
+    # -- the front end and its memo -----------------------------------------
+
+    def _front_end(self, owner: str, name: str, source: Optional[str],
+                   fn: Any = None) -> Lowered:
+        """Lower ``source``, or else ``fn``'s source, through the memo.
+
+        Text is keyed by content.  A function without text is keyed by
+        its code object's identity, not equality: equal code can come
+        from different source (a local's annotation is not compiled, but
+        it is lowered to a cast).  Failures raise before the memo is
+        written, so they repeat on every attempt.
+        """
+        code = None
+        key: Optional[Hashable] = source
+        if source is None:
+            code = getattr(fn, "__code__", None)
+            key = None if code is None else id(code)
+        memo = self._memo
+        if memo is not None and key is not None:
+            lowered = memo.get(key)
+            if lowered is not None and lowered.origin is code:
+                self.memo_hits += 1
+                return lowered
         if source is None:
             try:
                 source = inspect.getsource(fn)
@@ -88,40 +194,20 @@ class CFGRegistry:
                 raise RegistrationError(
                     f"no source available for {owner}#{name}: {exc}"
                 ) from None
-        mir = self._lower_source(owner, name, source,
-                                 source_file=_source_file(fn),
-                                 source_line=_source_line(fn),
-                                 captures=captures or _closure_captures(fn))
-        self._methods[(owner, name)] = mir
-        return mir
-
-    def register_source(self, owner: str, name: str, source: str,
-                        captures: Optional[Mapping[str, object]] = None,
-                        source_file: str = "<string>") -> MethodIR:
-        """Lower and register a method from raw source text."""
-        mir = self._lower_source(owner, name, source,
-                                 source_file=source_file, source_line=0,
-                                 captures=captures or {})
-        self._methods[(owner, name)] = mir
-        return mir
-
-    def register_ir(self, mir: MethodIR) -> MethodIR:
-        """Register an already-lowered method (e.g. loaded from JSON)."""
-        self._methods[(mir.owner, mir.name)] = mir
-        return mir
-
-    def _lower_source(self, owner: str, name: str, source: str, *,
-                      source_file: str, source_line: int,
-                      captures: Mapping[str, object]) -> MethodIR:
+        self.lowerings += 1
         tree = _parse_def(source)
         try:
             body = lower_function(tree)
         except LoweringError as exc:
             raise RegistrationError(
                 f"cannot lower {owner}#{name}: {exc}") from exc
-        return MethodIR(owner=owner, name=name, params=_params_of(tree),
-                        body=body, source_file=source_file,
-                        source_line=source_line, captures=dict(captures))
+        lowered = Lowered(_params_of(tree), body, code)
+        if memo is not None and key is not None:
+            with self._memo_lock:
+                if len(memo) >= MEMO_MAX and key not in memo:
+                    del memo[next(iter(memo))]  # the oldest entry
+                memo[key] = lowered
+        return lowered
 
     # -- queries ------------------------------------------------------------
 

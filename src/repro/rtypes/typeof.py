@@ -17,6 +17,7 @@ for things like Rails ``params`` keys.
 from __future__ import annotations
 
 import datetime
+import weakref
 from typing import Callable, Optional
 
 from .hierarchy import ClassHierarchy
@@ -66,13 +67,19 @@ class Sym:
 # Sample at most this many elements when computing the type of a collection.
 _SAMPLE_LIMIT = 50
 
-# host class -> RDL class name.  class_name_of runs on every intercepted
-# call (the engine keys checking by the receiver's class), and its answer
-# depends only on the value's exact class, so one isinstance cascade per
-# distinct host class suffices.  Lock-free under threads: the mapping is
-# idempotent (racing writers store the same value), and dict get/set are
-# each atomic under the GIL.
+# id(host class) -> RDL class name.  class_name_of runs on every
+# intercepted call (the engine keys checking by the receiver's class), and
+# its answer depends only on the value's exact class, so one isinstance
+# cascade per distinct host class suffices.  The memo must not own the
+# classes: an app class reaches its engine through its wrappers, so a
+# strong key would keep every engine and world ever built alive.  Entries
+# are keyed by id and dropped by a weakref callback when the class dies —
+# before its id can be reused.  Lock-free under threads: the mapping is
+# idempotent (racing writers store the same value), and dict get/set/pop
+# are each atomic under the GIL.
 _CLASS_NAME_MEMO: dict = {}
+#: id(host class) -> the weakref whose callback drops that memo entry.
+_CLASS_REFS: dict = {}
 
 
 def class_name_of(value: object) -> str:
@@ -80,11 +87,23 @@ def class_name_of(value: object) -> str:
     if value is None:
         return "NilClass"
     cls = type(value)
-    name = _CLASS_NAME_MEMO.get(cls)
+    name = _CLASS_NAME_MEMO.get(id(cls))
     if name is None:
         name = rdl_class_name(cls)
-        _CLASS_NAME_MEMO[cls] = name
+        _remember_class_name(cls, name)
     return name
+
+
+def _remember_class_name(cls: type, name: str) -> None:
+    key = id(cls)
+
+    def forget(ref: weakref.ref) -> None:
+        if _CLASS_REFS.get(key) is ref:  # not a racing writer's newer ref
+            _CLASS_REFS.pop(key, None)
+            _CLASS_NAME_MEMO.pop(key, None)
+
+    _CLASS_REFS[key] = weakref.ref(cls, forget)
+    _CLASS_NAME_MEMO[key] = name
 
 
 def rdl_class_name(cls: type) -> str:
