@@ -448,6 +448,12 @@ class Engine:
                 if existing is not None:
                     self._install_wrapper(owner, name, kind, fn)
             new = self.cfgs.lookup(owner_name, name)
+            if new is old and old is not None:
+                # An unchecked slot does not register the new body, but
+                # tier-3 analysis may have registered the old one: drop
+                # it, so a later check lowers the live body instead.
+                self.cfgs.forget(owner_name, name)
+                new = None
             if old is not None and (new is None or bodies_differ(old, new)):
                 self.invalidate(owner_name, name)
 

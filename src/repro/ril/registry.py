@@ -6,7 +6,9 @@ positions to the JSON CFG", consulted whenever a wrapped method must be
 statically checked.  This module is that mapping for the Python host:
 
 * :meth:`CFGRegistry.register_function` lowers a live function object by
-  reading its source (``inspect``), or an explicit ``__hb_source__``
+  reading its source block straight off its code object — the lines of
+  ``co_filename`` from ``co_firstlineno`` (the first decorator) to the end
+  of its line table — or an explicit ``__hb_source__``
   attribute for methods created from strings (the dev-mode reloader and
   metaprogramming substrates attach one);
 * closure-captured variables are typed from the closure cells at
@@ -29,9 +31,12 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
+import sys
 import textwrap
 import threading
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from .ir import Node
@@ -137,8 +142,11 @@ class CFGRegistry:
         fn = inspect.unwrap(getattr(fn, "__func__", fn))
         lowered = self._front_end(owner, name,
                                   getattr(fn, "__hb_source__", None), fn)
-        return self._register(owner, name, lowered, _source_file(fn),
-                              _source_line(fn),
+        code = getattr(fn, "__code__", None)
+        return self._register(owner, name, lowered,
+                              "<unknown>" if code is None
+                              else code.co_filename,
+                              0 if code is None else code.co_firstlineno,
                               captures or _closure_captures(fn))
 
     def register_source(self, owner: str, name: str, source: str,
@@ -189,7 +197,7 @@ class CFGRegistry:
                 return lowered
         if source is None:
             try:
-                source = inspect.getsource(fn)
+                source = _read_source(fn)
             except (OSError, TypeError) as exc:
                 raise RegistrationError(
                     f"no source available for {owner}#{name}: {exc}"
@@ -276,15 +284,63 @@ def _closure_captures(fn: Any) -> Dict[str, object]:
     return out
 
 
-def _source_file(fn: Any) -> str:
-    try:
-        return inspect.getfile(fn)
-    except TypeError:
-        return "<unknown>"
+def _read_source(fn: Any) -> str:
+    """``fn``'s source block, read off its code object's line table.
+
+    The block runs from ``co_firstlineno`` (the first decorator line, as
+    ``inspect`` has it) to the largest end line in ``co_positions()`` over
+    the code object and the code objects nested in its constants, then on
+    over the lines indented deeper than the first: statements the
+    compiler emitted no code for (dead code after a ``try`` whose every
+    path returns, ``global``) and comments.  That is the text
+    ``inspect.getsource`` returns, without running the tokenizer over the
+    block.  ``linecache`` is revalidated first, so a module rewritten on
+    disk and reloaded is read afresh.  Where there is no line table to
+    read — Python 3.10, objects without ``__code__``, code compiled
+    without position ranges, files ``linecache`` has no lines for — this
+    is ``inspect.getsource``, which raises ``OSError`` when it finds
+    nothing either.
+    """
+    code = getattr(fn, "__code__", None)
+    if sys.version_info >= (3, 11):
+        last = _last_line(code) if isinstance(code, CodeType) else None
+        if last is not None:
+            filename = code.co_filename
+            linecache.checkcache(filename)
+            lines = linecache.getlines(filename,
+                                       getattr(fn, "__globals__", None))
+            first = code.co_firstlineno - 1
+            if 0 <= first < len(lines):
+                head = lines[first]
+                indent = len(head) - len(head.lstrip())
+                end = last
+                while end < len(lines):
+                    body = lines[end].lstrip()
+                    if body and len(lines[end]) - len(body) <= indent:
+                        break
+                    end += 1
+                while end > last and not lines[end - 1].strip():
+                    end -= 1  # blank lines before the next statement
+                return "".join(lines[first:end])
+    return inspect.getsource(fn)
 
 
-def _source_line(fn: Any) -> int:
-    try:
-        return fn.__code__.co_firstlineno
-    except AttributeError:
-        return 0
+if sys.version_info >= (3, 11):
+    def _last_line(code: CodeType) -> Optional[int]:
+        """The largest line any instruction of ``code`` or of a code
+        object nested in its constants ends on; None when the code was
+        compiled without position ranges (``-X no_debug_ranges``), whose
+        end lines stop at the first line of a multi-line expression."""
+        last = code.co_firstlineno
+        for start, end, col, _ in code.co_positions():
+            if start is not None and col is None:
+                return None
+            if end is not None and end > last:
+                last = end
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                inner = _last_line(const)
+                if inner is None:
+                    return None
+                last = max(last, inner)
+        return last

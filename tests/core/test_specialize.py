@@ -1064,6 +1064,25 @@ def test_promote_deopt_repromote_matches_oracle(script):
     assert tiered == oracle
 
 
+def test_redefined_unchecked_method_is_checked_by_its_new_body():
+    """Promoting m1 while its signature is unchecked makes tier-3
+    analysis register m1's body; redefining m1 then registers nothing,
+    as the slot is still unchecked.  When the retype turns the check on,
+    the check must read the new body (which calls m0, now declared to
+    return String), not the stale one (``n + 1``)."""
+    script = [("retype", "m0", "(Integer) -> String"),
+              ("burst", "m1", "base", 3),
+              ("redefine", "m1", "chain"),
+              ("retype", "m1", "(Integer) -> Integer"),
+              ("burst", "m1", "base", 1)]
+    tiered, _ = _stress_replay(script, disable=False)
+    oracle, _ = _stress_replay(script, disable=True)
+    assert tiered == oracle
+    assert tiered[-1] == (
+        "err", "StaticTypeError", "SpecStress#m1 (<string>:2): returns "
+        "String but is declared to return Integer")
+
+
 @pytest.mark.requires_specialization
 def test_stress_scenarios_actually_promote():
     """The stress harness is not vacuous: a plain call burst promotes."""
